@@ -16,7 +16,6 @@ from .errors import (
 from .finite_field import Field
 from .space import (
     TwistedSpace,
-    make_twisted_space,
     quasi_kernel_bruteforce,
     quasi_kernel_closed_form,
 )
@@ -26,7 +25,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Field",
     "TwistedSpace",
-    "make_twisted_space",
     "quasi_kernel_bruteforce",
     "quasi_kernel_closed_form",
     "NearVecError",

@@ -27,8 +27,12 @@ class NearField:
         self.add = tuple(tuple(row) for row in add)
         self.mul = tuple(tuple(row) for row in mul)
         n = len(self.add)
-        if len(self.mul) != n or any(len(r) != n for r in self.add + self.mul):
-            raise ValueError("operation tables must be square and same-sized")
+        for table in (self.add, self.mul):
+            cx = closure_failure(table)
+            if len(table) != n or (cx is not None and len(cx) == 1):
+                raise ValueError("operation tables must be square and same-sized")
+            if cx is not None:
+                raise ValueError(f"operation table entry {cx} is outside range({n})")
         self.size = n
         self.zero = zero
         self.one = one
@@ -84,88 +88,121 @@ def from_field(field):
     return NearField(add, mul, zero=0, one=1, provenance=("field", field))
 
 
+# -- table-law scans -----------------------------------------------------------
+#
+# Each scan walks a dense table over {0, ..., n-1} in row-major order and
+# returns the first failing tuple, or None when the law holds.  Rows are
+# hoisted out of the inner loops; every table-law check in the package
+# runs through these.
+
+
+def closure_failure(table):
+    """(a,) for the first row of the wrong length, (a, b) for the first
+    entry outside range(n), else None."""
+    n = len(table)
+    for a, row in enumerate(table):
+        if len(row) != n:
+            return (a,)
+        if row and (min(row) < 0 or max(row) >= n):
+            return (a, next(b for b, x in enumerate(row) if not 0 <= x < n))
+    return None
+
+
+def associativity_failure(t):
+    els = range(len(t))
+    for a in els:
+        ta = t[a]
+        for b in els:
+            row = t[ta[b]]
+            tb = t[b]
+            for c in els:
+                if row[c] != ta[tb[c]]:
+                    return (a, b, c)
+    return None
+
+
+def commutativity_failure(t):
+    els = range(len(t))
+    for a in els:
+        ta = t[a]
+        for b in els:
+            if ta[b] != t[b][a]:
+                return (a, b)
+    return None
+
+
+def identity_failure(t, e, two_sided=False):
+    """(b,) for the first b with e*b != b (or b*e != b when two-sided)."""
+    te = t[e]
+    for b in range(len(t)):
+        if te[b] != b or (two_sided and t[b][e] != b):
+            return (b,)
+    return None
+
+
+def inverse_failure(t, e, two_sided=False, skip=None):
+    """(a,) for the first a with no b such that a*b = e (and b*a = e when
+    two-sided); ``skip`` leaves one element out on both sides."""
+    els = [x for x in range(len(t)) if x != skip]
+    for a in els:
+        ta = t[a]
+        if two_sided:
+            found = any(ta[b] == e and t[b][a] == e for b in els)
+        else:
+            found = e in ta
+        if not found:
+            return (a,)
+    return None
+
+
+def left_distributivity_failure(add, mul):
+    """(a, b, c) for the first a(b + c) != ab + ac, else None."""
+    els = range(len(add))
+    for a in els:
+        ma = mul[a]
+        for b in els:
+            row = add[ma[b]]
+            addb = add[b]
+            for c in els:
+                if ma[addb[c]] != row[ma[c]]:
+                    return (a, b, c)
+    return None
+
+
+def _entry(cx):
+    return cx is None, cx
+
+
 def check_axioms(nf):
     """Exhaustive left near-field axiom check; O(n^3), certifying."""
     add, mul = nf.add, nf.mul
     zero, one = nf.zero, nf.one
     els = range(nf.size)
-    entries = {}
 
-    def closed(table):
-        for a in els:
-            for b in els:
-                if not 0 <= table[a][b] < nf.size:
-                    return False, (a, b)
-        return True, None
+    def padded(cx):
+        # unary identity witnesses keep the (a, b) shape of the binary laws
+        return None if cx is None else (0,) + cx
 
-    entries["add_closed"] = closed(add)
-
-    def first_fail(pred, arity):
-        if arity == 2:
-            for a in els:
-                for b in els:
-                    if not pred(a, b):
-                        return False, (a, b)
-        else:
-            for a in els:
-                for b in els:
-                    for c in els:
-                        if not pred(a, b, c):
-                            return False, (a, b, c)
-        return True, None
-
-    entries["add_associative"] = first_fail(
-        lambda a, b, c: add[add[a][b]][c] == add[a][add[b][c]], 3
-    )
-    entries["add_commutative"] = first_fail(lambda a, b: add[a][b] == add[b][a], 2)
-    entries["add_identity"] = first_fail(lambda a, b: add[zero][b] == b, 2)
-
-    ok, cx = True, None
-    for a in els:
-        if zero not in add[a]:
-            ok, cx = False, (a,)
-            break
-    entries["add_inverses"] = (ok, cx)
-
-    ok, cx = True, None
-    for a in els:
-        if a == zero:
-            continue
-        for b in els:
-            if b == zero:
-                continue
-            if mul[a][b] == zero:
-                ok, cx = False, (a, b)
-                break
-        if not ok:
-            break
-    entries["mul_closed"] = (ok, cx)
-
-    entries["mul_associative"] = first_fail(
-        lambda a, b, c: mul[mul[a][b]][c] == mul[a][mul[b][c]], 3
-    )
-    entries["mul_identity"] = first_fail(
-        lambda a, b: mul[one][b] == b and mul[b][one] == b, 2
-    )
-
-    ok, cx = True, None
-    for a in els:
-        if a == zero:
-            continue
-        has = any(
-            mul[a][b] == one and mul[b][a] == one for b in els if b != zero
-        )
-        if not has:
-            ok, cx = False, (a,)
-            break
-    entries["mul_inverses"] = (ok, cx)
-
-    entries["left_distributive"] = first_fail(
-        lambda a, b, c: mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]], 3
-    )
-    entries["zero_annihilates"] = first_fail(
-        lambda a, b: mul[zero][b] == zero and mul[b][zero] == zero, 2
-    )
+    entries = {
+        "add_closed": _entry(closure_failure(add)),
+        "add_associative": _entry(associativity_failure(add)),
+        "add_commutative": _entry(commutativity_failure(add)),
+        "add_identity": _entry(padded(identity_failure(add, zero))),
+        "add_inverses": _entry(inverse_failure(add, zero)),
+        "mul_closed": _entry(next(
+            ((a, b) for a in els if a != zero
+             for b in els if b != zero and mul[a][b] == zero),
+            None,
+        )),
+        "mul_associative": _entry(associativity_failure(mul)),
+        "mul_identity": _entry(padded(identity_failure(mul, one, two_sided=True))),
+        "mul_inverses": _entry(inverse_failure(mul, one, two_sided=True, skip=zero)),
+        "left_distributive": _entry(left_distributivity_failure(add, mul)),
+        "zero_annihilates": _entry(next(
+            ((0, b) for b in els if mul[zero][b] != zero or mul[b][zero] != zero),
+            None,
+        )),
+    }
     return CheckReport(entries)
 
 

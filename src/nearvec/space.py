@@ -16,6 +16,14 @@ from math import gcd
 
 from .errors import NotCoprimeError, TooLargeError
 from .finite_field import Field, TABLE_LIMIT
+from .near_field import (
+    associativity_failure,
+    closure_failure,
+    commutativity_failure,
+    identity_failure,
+    inverse_failure,
+    left_distributivity_failure,
+)
 from .report import CheckReport
 
 MAX_SPACE_SIZE = 1 << 21
@@ -230,10 +238,6 @@ class TwistedSpace:
         return f"TwistedSpace({self.field!r}, exponents={self.exponents})"
 
 
-def make_twisted_space(field, exponents):
-    return TwistedSpace(field, exponents)
-
-
 class QuasiKernel:
     """The vectors v for which every alpha v + beta v is again gamma v."""
 
@@ -345,14 +349,19 @@ def additive_closure(space, generators):
     Grows a known subgroup one cyclic factor at a time; exact and much
     cheaper than pairwise-sum fixed-point iteration on these sizes.
     """
-    closure = {space.zero}
-    add = space.add
+    return _additive_closure(space.add, space.zero, generators, space.size)
+
+
+def _additive_closure(add, zero, generators, cap):
+    # ``cap`` bounds each cyclic factor, so a broken table whose powers
+    # never return to zero still terminates
+    closure = {zero}
     for g in generators:
         if g in closure:
             continue
         cyclic = []
         x = g
-        while x != space.zero:
+        while x != zero and len(cyclic) <= cap:
             cyclic.append(x)
             x = add(x, g)
         closure = {add(h, m) for h in closure for m in cyclic} | closure
@@ -399,54 +408,16 @@ def _field_group_and_distributivity(field):
             f"exhaustive law check refused for field order {field.order}"
         )
     add, mul = field.op_tables()
-    els = range(field.order)
-    entries = {}
-
-    ok, cx = True, None
-    for a in els:
-        for b in els:
-            row = add[add[a][b]]
-            rowa = add[a]
-            for c in els:
-                if row[c] != rowa[add[b][c]]:
-                    ok, cx = False, (a, b, c)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    entries["add_associative"] = (ok, cx)
-
-    ok, cx = True, None
-    for a in els:
-        for b in els:
-            if add[a][b] != add[b][a]:
-                ok, cx = False, (a, b)
-                break
-        if not ok:
-            break
-    entries["add_commutative"] = (ok, cx)
-
-    entries["add_identity"] = (all(add[0][b] == b for b in els), None)
-    entries["add_inverses"] = (all(0 in add[a] for a in els), None)
-
-    ok, cx = True, None
-    for s in els:
-        rows = mul[s]
-        for x in els:
-            sx = rows[x]
-            arow = add[sx]
-            xrow = add[x]
-            for y in els:
-                if rows[xrow[y]] != arow[rows[y]]:
-                    ok, cx = False, (s, x, y)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    entries["scalar_distributes"] = (ok, cx)
-
+    assoc = associativity_failure(add)
+    commute = commutativity_failure(add)
+    distrib = left_distributivity_failure(add, mul)
+    entries = {
+        "add_associative": (assoc is None, assoc),
+        "add_commutative": (commute is None, commute),
+        "add_identity": (identity_failure(add, 0) is None, None),
+        "add_inverses": (inverse_failure(add, 0) is None, None),
+        "scalar_distributes": (distrib is None, distrib),
+    }
     field._ambient_law_report = entries
     return entries
 
@@ -550,48 +521,31 @@ def check_axioms_raw(add_table, endos):
         raise TooLargeError(f"raw carrier {n} exceeds {MAX_RAW_CARRIER}")
     add = [list(row) for row in add_table]
     maps = [tuple(e) for e in endos]
+    if any(len(row) != n for row in add):
+        raise ValueError(f"group table must be square ({n} rows)")
+    if any(len(m) != n for m in maps):
+        raise ValueError(f"every endomorphism must list {n} images")
     els = range(n)
     entries = {}
 
-    identity = None
-    for e in els:
-        if all(add[e][x] == x and add[x][e] == x for x in els):
-            identity = e
-            break
-
-    ok, cx = True, None
+    identity = next(
+        (e for e in els if identity_failure(add, e, two_sided=True) is None), None
+    )
+    cx = None
     if identity is None:
-        ok, cx = False, ("no_identity",)
+        cx = ("no_identity",)
     else:
-        for a in els:
-            for b in els:
-                if not 0 <= add[a][b] < n:
-                    ok, cx = False, ("not_closed", a, b)
-                    break
-                if add[a][b] != add[b][a]:
-                    ok, cx = False, ("not_commutative", a, b)
-                    break
-            if not ok:
+        for tag, scan in (
+            ("not_closed", closure_failure),
+            ("not_commutative", commutativity_failure),
+            ("no_inverse", lambda t: inverse_failure(t, identity)),
+            ("not_associative", associativity_failure),
+        ):
+            bad = scan(add)
+            if bad is not None:
+                cx = (tag, *bad)
                 break
-        if ok:
-            for a in els:
-                if identity not in add[a]:
-                    ok, cx = False, ("no_inverse", a)
-                    break
-        if ok:
-            for a in els:
-                for b in els:
-                    row = add[add[a][b]]
-                    rowa = add[a]
-                    for c in els:
-                        if row[c] != rowa[add[b][c]]:
-                            ok, cx = False, ("not_associative", a, b, c)
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-    entries["1_additive_group"] = (ok, cx)
+    entries["1_additive_group"] = (cx is None, cx)
     if identity is None:
         # remaining checks are meaningless without a group identity
         for key in (
@@ -606,7 +560,7 @@ def check_axioms_raw(add_table, endos):
     zero_map = tuple(identity for _ in els)
     id_map = tuple(els)
     neg_map = None
-    if all(identity in add[x] for x in els):
+    if inverse_failure(add, identity) is None:
         neg_map = tuple(add[x].index(identity) for x in els)
     ok, cx = True, None
     if zero_map not in maps:
@@ -673,16 +627,7 @@ def check_axioms_raw(add_table, endos):
         orbit = {m[x] for m in maps}
         if all(add[f[x]][g[x]] in orbit for f in maps for g in maps):
             quasi.append(x)
-    closure = {identity}
-    for g in quasi:
-        if g in closure:
-            continue
-        cyclic = []
-        y = g
-        while y != identity and len(cyclic) <= n:  # step cap: broken tables
-            cyclic.append(y)
-            y = add[y][g]
-        closure = {add[h][m] for h in closure for m in cyclic} | closure
+    closure = _additive_closure(lambda x, y: add[x][y], identity, quasi, n)
     ok = len(closure) == n
     entries["5_quasi_kernel_generates"] = (
         ok,

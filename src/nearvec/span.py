@@ -105,11 +105,13 @@ def coordinates_in_independent_set(space, vectors, target):
 
 def linear_combinations(space, v):
     """L(v): all sums of scalar multiples of v, the additive subgroup
-    generated by the multiple set."""
-    if space.size > (1 << 21):
-        raise TooLargeError("space too large to materialise L(v)")
-    gens = sorted({space.scalar_mul(a, v) for a in range(space.field.order)})
-    return frozenset(additive_closure(space, gens))
+    generated by the multiple set.
+
+    This is the same route as ``subspace_closure_oracle(space, [v])``,
+    not an independent oracle: both close the scaled generators under
+    addition with ``additive_closure``.
+    """
+    return subspace_closure_oracle(space, [v])
 
 
 def subspace_closure_oracle(space, generators):

@@ -540,25 +540,16 @@ def decompose(space, enumeration=None):
             seen[cid] = True
             class_order.append(cid)
 
-    order = space.field.order
+    class_supports = space.quasi_kernel().class_supports
     components = []
     basis = space.standard_basis()
     for cid in class_order:
-        cls = space.classes[cid]
-        sup = cls.support
-        members = set()
-        from itertools import product as _product
-
-        for combo in _product(range(order), repeat=len(sup)):
-            v = [0] * space.n
-            for i, x in zip(sup, combo):
-                v[i] = x
-            members.add(tuple(v))
+        sup = space.classes[cid].support
         rep = basis[min(sup)]
         induced = induced_addition(space, rep)
         comp_basis = tuple(basis[i] for i in sorted(sup))
         components.append(
-            RegularComponent(space, cid, sup, frozenset(members), induced, comp_basis)
+            RegularComponent(space, cid, sup, class_supports[cid], induced, comp_basis)
         )
 
     deco = Decomposition(space, tuple(components))

@@ -17,9 +17,10 @@ from nearvec import verify
 from nearvec.errors import NotCoprimeError
 from nearvec.finite_field import Field
 from nearvec.space import (
+    TwistedSpace,
+    additive_closure,
     check_axioms,
     check_axioms_raw,
-    make_twisted_space,
     quasi_kernel_bruteforce,
 )
 
@@ -31,7 +32,7 @@ def _report(number, label, detail=""):
 
 def test_criterion_1_worked_example_reproduction():
     start = time.perf_counter()
-    space = make_twisted_space(Field(11), (3, 7, 3))
+    space = TwistedSpace(Field(11), (3, 7, 3))
 
     qk = space.quasi_kernel()
     expected_q = {(a, 0, c) for a in range(11) for c in range(11)}
@@ -69,7 +70,7 @@ def test_criterion_2_flaw_surfacing():
     field.generator()  # warm the construction caches before timing
     start = time.perf_counter()
     with pytest.raises(NotCoprimeError) as err:
-        make_twisted_space(field, (3, 5, 3))
+        TwistedSpace(field, (3, 5, 3))
     elapsed = time.perf_counter() - start
     exc = err.value
     assert exc.gcd == 5 and exc.exponent == 5
@@ -170,27 +171,14 @@ def test_criterion_8_subspace_characterization():
 
     # every additive subgroup of (Z/5)^2 is generated by at most two
     # elements; close every singleton and pair and deduplicate
-    def closure(gens):
-        out = {zero}
-        for g in gens:
-            if g in out:
-                continue
-            cyclic = []
-            x = g
-            while x != zero:
-                cyclic.append(x)
-                x = space.add(x, g)
-            out = {space.add(h, m) for h in out for m in cyclic} | out
-        return frozenset(out)
-
     subgroups = {frozenset({zero})}
     for v in vectors:
         if v != zero:
-            subgroups.add(closure([v]))
+            subgroups.add(frozenset(additive_closure(space, [v])))
     for v in vectors:
         for w in vectors:
             if v != zero and w != zero:
-                subgroups.add(closure([v, w]))
+                subgroups.add(frozenset(additive_closure(space, [v, w])))
     assert len(subgroups) == 8  # 1 + 6 lines + 1
 
     qk = space.quasi_kernel().members

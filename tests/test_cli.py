@@ -129,6 +129,14 @@ def test_verify_raw_fixture_corrupted(tmp_path, capsys):
     assert "1_additive_group" in err
 
 
+def test_verify_raw_ragged_fixture_exits_2(tmp_path, capsys):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"add_table": [[0, 1], [1]],
+                                "endomorphisms": [[0, 0], [0, 1]]}))
+    assert main(["verify", "--raw", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_verify_without_config_or_raw_exits_2(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()

@@ -34,6 +34,11 @@ def test_axiom_checker_reports_counterexamples():
     assert report.witness("add_inverses") is not None
 
 
+def test_out_of_range_table_entry_is_rejected():
+    with pytest.raises(ValueError):
+        nf.NearField([[0, 5], [1, 0]], [[0, 0], [0, 1]])
+
+
 def test_axiom_report_serializes():
     report = nf.check_axioms(nf.from_field(Field(7)))
     payload = report.to_json()

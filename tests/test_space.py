@@ -13,7 +13,6 @@ from nearvec.space import (
     additive_closure,
     check_axioms,
     check_axioms_raw,
-    make_twisted_space,
     quasi_kernel_bruteforce,
     quasi_kernel_closed_form,
     vector_from_json,
@@ -24,7 +23,7 @@ from nearvec.space import (
 class TestConstruction:
     def test_flawed_exponents_are_rejected_with_witness(self):
         with pytest.raises(NotCoprimeError) as err:
-            make_twisted_space(Field(11), (3, 5, 3))
+            TwistedSpace(Field(11), (3, 5, 3))
         exc = err.value
         assert exc.index == 1 and exc.exponent == 5 and exc.gcd == 5
         assert (exc.alpha, exc.beta, exc.vector) == (2, 8, (0, 1, 0))
@@ -46,16 +45,16 @@ class TestConstruction:
         assert len(space.classes) == 1
 
     def test_exponents_reduce_mod_unit_group_order(self):
-        space = make_twisted_space(Field(11), (13, 7, 3))
+        space = TwistedSpace(Field(11), (13, 7, 3))
         assert space.exponents == (3, 7, 3)
 
     def test_size_bound(self):
         with pytest.raises(TooLargeError):
-            make_twisted_space(Field(13), (1, 1, 1, 1, 1, 1))
+            TwistedSpace(Field(13), (1, 1, 1, 1, 1, 1))
 
     def test_rejects_nonpositive_exponents(self):
         with pytest.raises(ValueError):
-            make_twisted_space(Field(5), (0, 1))
+            TwistedSpace(Field(5), (0, 1))
 
 
 class TestArithmetic:
@@ -118,7 +117,7 @@ class TestQuasiKernel:
     def test_interleaved_class_supports(self):
         # exponents (1,3,3,1) over GF(5) split into two non-contiguous
         # blocks; the quasi-kernel is the union of both coordinate planes
-        space = make_twisted_space(Field(5), (1, 3, 3, 1))
+        space = TwistedSpace(Field(5), (1, 3, 3, 1))
         assert [c.support for c in space.classes] == [(0, 3), (1, 2)]
         qk = quasi_kernel_bruteforce(space)
         expected = {(a, 0, 0, d) for a in range(5) for d in range(5)}
@@ -197,6 +196,12 @@ class TestAxioms:
         endos = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
         report = check_axioms_raw(add, endos)
         assert "1_additive_group" in report.failed()
+
+    def test_raw_ragged_table_and_short_endomorphism_are_rejected(self):
+        with pytest.raises(ValueError):
+            check_axioms_raw([[0, 1], [1]], [(0, 0), (0, 1)])
+        with pytest.raises(ValueError):
+            check_axioms_raw([[0, 1], [1, 0]], [(0, 0), (0,)])
 
     def test_raw_size_bound(self):
         with pytest.raises(TooLargeError):

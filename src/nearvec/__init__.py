@@ -4,6 +4,7 @@ from .errors import (
     ConstructionFailedError,
     DivisionByZeroError,
     HypothesisUnmetError,
+    InvalidVectorError,
     NearVecError,
     NonPrimeError,
     NotABasisError,
@@ -36,6 +37,7 @@ __all__ = [
     "NotInQuasiKernelError",
     "ZeroVectorError",
     "HypothesisUnmetError",
+    "InvalidVectorError",
     "NotABasisError",
     "ConstructionFailedError",
     "__version__",

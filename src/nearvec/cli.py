@@ -120,9 +120,7 @@ def cmd_verify(args):
     if args.raw:
         with open(args.raw) as fh:
             fixture = json.load(fh)
-        report = check_axioms_raw(
-            fixture["add_table"], [tuple(e) for e in fixture["endomorphisms"]]
-        )
+        report = check_axioms_raw(fixture["add_table"], fixture["endomorphisms"])
         payload = report.to_json()
         emit(payload, args.json)
         if not report.all_pass:

@@ -47,6 +47,11 @@ class NotCoprimeError(NearVecError):
         )
 
 
+class InvalidVectorError(NearVecError, ValueError):
+    """A vector has the wrong length or a coordinate that is not an
+    element index of the field."""
+
+
 class NotInQuasiKernelError(NearVecError):
     """An operation required a quasi-kernel vector and got something else."""
 

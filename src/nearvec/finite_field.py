@@ -268,38 +268,58 @@ class Field:
 
     def _build_tables(self):
         n = self.order
-        digits = [self.coeffs(a) for a in range(n)]
-        p = self.p
-        powers = self._powers
-        add = []
-        for a in range(n):
-            da = digits[a]
-            add.append(
-                [
-                    sum(((ca + cb) % p) * w for ca, cb, w in zip(da, digits[b], powers))
-                    for b in range(n)
-                ]
-            )
-        # multiplication through discrete logs of a fixed generator
+        # with W = p^(r-1) the weight of the top digit, the row of a + c*W
+        # (a < W) is the row of a rotated left by c*W; only the rows with
+        # top digit 0 go through the row kernel, and the slices share
+        # their int objects
+        top = n // self.p
+        add = [None] * n
+        for a in range(top):
+            row = self._add_row(a)
+            for shift in range(0, n, top):
+                add[a + shift] = row[shift:] + row[:shift]
+        # multiplication through discrete logs of a fixed generator: row a
+        # reads exp[log a + log b], a window of the doubled exp list
         g = self.generator()
-        exp = [1] * max(self.mult_order, 1)
-        for i in range(1, self.mult_order):
+        m = self.mult_order
+        exp = [1] * max(m, 1)
+        for i in range(1, m):
             exp[i] = self._raw_mul(exp[i - 1], g)
         log = [None] * n
         for i, e in enumerate(exp):
             log[e] = i
-        m = self.mult_order
+        exp2 = exp + exp
+        unit_logs = log[1:]
         mul = [[0] * n]
         for a in range(1, n):
-            la = log[a]
-            row = [0] * n
-            for b in range(1, n):
-                row[b] = exp[(la + log[b]) % m]
-            mul.append(row)
+            seg = exp2[log[a]:log[a] + m]
+            mul.append([0] + list(map(seg.__getitem__, unit_logs)))
         inv = [None] + [exp[(m - log[a]) % m] for a in range(1, n)]
         self._add_table = add
         self._mul_table = mul
         self._inv_table = inv
+
+    def _add_row(self, a):
+        """[a + b for every element b in index order], without tables.
+
+        Addition is digit-wise mod p, so the row is a rotation of the
+        digit values in each position: one slice for a prime field, XOR
+        in characteristic 2, and otherwise the per-digit rotations folded
+        from the lowest digit up.
+        """
+        p = self.p
+        if self.r == 1:
+            return list(range(a, p)) + list(range(a))
+        if p == 2:
+            return [a ^ b for b in range(self.order)]
+        row = [0]
+        for w in self._powers:
+            a, c = divmod(a, p)
+            folded = []
+            for d in range(c, c + p):
+                folded.extend(map(((d % p) * w).__add__, row))
+            row = folded
+        return row
 
     def _raw_mul(self, a, b):
         if self.r == 1:

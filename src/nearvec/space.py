@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .errors import NotCoprimeError, TooLargeError
+from .errors import InvalidVectorError, NotCoprimeError, TooLargeError
 from .finite_field import Field, TABLE_LIMIT
 from .near_field import (
     associativity_failure,
@@ -32,6 +32,10 @@ MAX_RAW_CARRIER = 1 << 12
 # exhaustive O(|F|^3) certification of the ambient group/distributivity
 # laws is refused above this field order
 AXIOM_FIELD_LIMIT = 512
+
+# a class addition table holds |F|^2 entries; it is refused above this
+# field order (2^24 entries, about 130 MB of list slots)
+CLASS_TABLE_LIMIT = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -74,17 +78,18 @@ class TwistedSpace:
             for i in cls.support:
                 self._class_of_coord[i] = cls.index
         self.zero = (0,) * self.n
-        # per-coordinate twist tables, shared between equal exponents
-        pow_tables = {}
-        for q in self.exponents:
-            if q not in pow_tables:
-                pow_tables[q] = field.pow_table(q)
-        self._psi = [pow_tables[q] for q in self.exponents]
         if field.order <= TABLE_LIMIT:
             add_t, mul_t = field.op_tables()
             self._fadd, self._fmul = add_t, mul_t
         else:
             self._fadd = self._fmul = None
+        # per-coordinate twist tables, shared between equal exponents; built
+        # after the dense tables, which make every power a few lookups
+        pow_tables = {}
+        for q in self.exponents:
+            if q not in pow_tables:
+                pow_tables[q] = field.pow_table(q)
+        self._psi = [pow_tables[q] for q in self.exponents]
         self._fneg = field.neg_table()
         self._vectors = None
         self._quasi_kernel = None
@@ -157,6 +162,28 @@ class TwistedSpace:
         f = self.field
         return tuple(f.mul(p[alpha], x) for p, x in zip(self._psi, v))
 
+    def check_vector(self, v):
+        """Raise InvalidVectorError unless v has n integer coordinates,
+        each an element index in [0, |F|)."""
+        try:
+            length = len(v)
+        except TypeError:
+            raise InvalidVectorError(f"{v!r} is not a vector") from None
+        if length != self.n:
+            raise InvalidVectorError(
+                f"{v!r} has {length} coordinates, expected {self.n}"
+            )
+        order = self.field.order
+        for i, x in enumerate(v):
+            if type(x) is not int:  # bool too: JSON true is no coordinate
+                raise InvalidVectorError(
+                    f"coordinate {i} of {v!r} is {x!r}, not an integer"
+                )
+            if not 0 <= x < order:
+                raise InvalidVectorError(
+                    f"coordinate {i} of {v!r} is {x}, outside [0, {order})"
+                )
+
     def support(self, v):
         return tuple(i for i, x in enumerate(v) if x)
 
@@ -185,17 +212,29 @@ class TwistedSpace:
 
     def class_addition_table(self, cid):
         """Scalar addition induced by any quasi-kernel vector of the class:
-        a, b combine through the class twist q as (a^q + b^q)^(1/q)."""
+        a, b combine through the class twist q as (a^q + b^q)^(1/q).
+
+        Row a is back . (field add row of a^q) . fwd; it reads the dense
+        field table when one exists and builds the field row otherwise.
+        """
         table = self._class_add_tables.get(cid)
         if table is None:
+            field = self.field
+            order = field.order
+            if order > CLASS_TABLE_LIMIT:
+                raise TooLargeError(
+                    f"class addition table of {order * order} entries refused "
+                    f"for field order {order} > {CLASS_TABLE_LIMIT}"
+                )
             q = self.classes[cid].exponent
-            m = self.field.mult_order
-            fwd = self.field.pow_table(q)
-            back = self.field.pow_table(pow(q, -1, m) if m > 1 else 1)
-            fadd = self.field.op_tables()[0]
+            m = field.mult_order
+            fwd = field.pow_table(q)
+            back = field.pow_table(pow(q, -1, m) if m > 1 else 1)
+            dense = field._add_table
+            add_row = dense.__getitem__ if dense is not None else field._add_row
+            back_of = back.__getitem__
             table = [
-                [back[fadd[fa][fb]] for fb in fwd]
-                for fa in fwd
+                list(map(back_of, map(add_row(fa).__getitem__, fwd))) for fa in fwd
             ]
             self._class_add_tables[cid] = table
         return table
@@ -378,20 +417,21 @@ def vector_to_json(space, v):
 
 
 def vector_from_json(space, data):
-    if len(data) != space.n:
-        raise ValueError(f"expected {space.n} coordinates, got {len(data)}")
+    """A vector from JSON: one entry per coordinate, either a list of
+    coefficients or an int (for r > 1, the constant polynomial)."""
+    if not isinstance(data, (list, tuple)):
+        raise InvalidVectorError(f"{data!r} is not a list of coordinates")
+    field = space.field
     coords = []
     for entry in data:
-        if isinstance(entry, int):
-            if space.field.r != 1:
-                coords.append(space.field.element((entry,) + (0,) * (space.field.r - 1)))
-            else:
-                if not 0 <= entry < space.field.order:
-                    raise ValueError(f"coordinate {entry} out of range")
-                coords.append(entry)
-        else:
-            coords.append(space.field.element(entry))
-    return tuple(coords)
+        if isinstance(entry, (list, tuple)):
+            entry = field.element(entry)
+        elif field.r != 1 and type(entry) is int:
+            entry = field.element((entry,) + (0,) * (field.r - 1))
+        coords.append(entry)
+    coords = tuple(coords)
+    space.check_vector(coords)
+    return coords
 
 
 # -- axiom verification ------------------------------------------------------
@@ -513,9 +553,26 @@ def check_axioms(space):
     return CheckReport(entries)
 
 
+def _check_entries(name, rows, n):
+    """Every entry must be an element index; the scans index by them."""
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if not isinstance(x, int) or not 0 <= x < n:
+                raise ValueError(
+                    f"{name}[{i}][{j}] = {x!r} lies outside range({n})"
+                )
+
+
 def check_axioms_raw(add_table, endos):
     """The same five conditions for an explicit group table and
     endomorphism set; the negative fixtures enter through here."""
+    seq = (list, tuple)
+    if not (
+        isinstance(add_table, seq)
+        and isinstance(endos, seq)
+        and all(isinstance(row, seq) for row in (*add_table, *endos))
+    ):
+        raise ValueError("add_table and endomorphisms must be lists of lists")
     n = len(add_table)
     if n > MAX_RAW_CARRIER:
         raise TooLargeError(f"raw carrier {n} exceeds {MAX_RAW_CARRIER}")
@@ -525,6 +582,8 @@ def check_axioms_raw(add_table, endos):
         raise ValueError(f"group table must be square ({n} rows)")
     if any(len(m) != n for m in maps):
         raise ValueError(f"every endomorphism must list {n} images")
+    _check_entries("add_table", add, n)
+    _check_entries("endomorphisms", maps, n)
     els = range(n)
     entries = {}
 

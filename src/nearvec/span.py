@@ -34,7 +34,9 @@ class _InducedFieldOps:
 
     def __init__(self, space, cid):
         self.add = space.class_addition_table(cid)
-        self.neg = [row.index(0) for row in self.add]
+        # the closed form (-(a^q))^(1/q) is plain field negation: q is
+        # coprime to p^r - 1, hence odd for odd p, and -a = a for p = 2
+        self.neg = space.field.neg_table()
         self.mul = space.field.op_tables()[1]
         self.inv = space.field.inv
 
@@ -74,6 +76,7 @@ def _solve(kops, columns, target):
 def coordinates_in_independent_set(space, vectors, target):
     """Coefficients expressing target over independent quasi-kernel
     vectors, or None when no expansion exists."""
+    space.check_vector(target)
     members = space.quasi_kernel().members
     by_class = {}
     for idx, b in enumerate(vectors):
@@ -202,6 +205,7 @@ def span_of(space, generators):
         raise TooLargeError("space too large to materialise spans")
     parts_by_class = {}
     for g in generators:
+        space.check_vector(g)
         for cid in sorted({space._class_of_coord[i] for i in space.support(g)}):
             sup = set(space.classes[cid].support)
             part = tuple(x if i in sup else 0 for i, x in enumerate(g))
@@ -296,6 +300,7 @@ def _dim_layers(space):
 def dim_of_vector(space, v):
     """dim(v) computed through the regular components and, independently,
     by minimal-representation search; the two must agree."""
+    space.check_vector(v)
     component_dim = len({space._class_of_coord[i] for i in space.support(v)})
     if v == space.zero:
         return DimResult(0, ())

@@ -3,10 +3,15 @@
 Every nonzero quasi-kernel vector v turns the scalars into a near-field
 via (a +_v b) v = a v + b v.  The addition only depends on the exponent
 class of v's support, the vectors sharing one addition form the regular
-components, and V is their direct sum.  This module computes all of
-that definitionally (orbit scans, exhaustive table comparisons) so the
-closed-form shortcuts elsewhere have something honest to be checked
-against.
+components, and V is their direct sum.
+
+``decompose`` is the fast route: each component takes its addition from
+the class twist formula (``induced_addition_closed_form``).  Everything
+else here is definitional (orbit scans, exhaustive table comparisons):
+``induced_addition``, ``induced_nearfield``, ``kernel``,
+``maximality_witness`` and ``regularity_equivalences`` build their
+tables from the orbit of v, so they certify the closed form rather than
+share it.
 """
 
 from .errors import (
@@ -525,6 +530,12 @@ class Decomposition:
 def decompose(space, enumeration=None):
     """Materialise the regular components, one per exponent class.
 
+    This is the closed-form route: the members come from the quasi-kernel
+    class supports, and each component's addition from the class twist
+    formula a +_v b = (a^q + b^q)^(1/q) at the class's first standard
+    basis vector.  ``maximality_witness`` and the tests check that
+    addition against the definitional orbit table.
+
     ``enumeration`` optionally reorders the coordinates used to derive
     the classes; the resulting component set must not change (this is
     the uniqueness check the test-suite runs with a reversed order).
@@ -546,7 +557,7 @@ def decompose(space, enumeration=None):
     for cid in class_order:
         sup = space.classes[cid].support
         rep = basis[min(sup)]
-        induced = induced_addition(space, rep)
+        induced = induced_addition_closed_form(space, rep)
         comp_basis = tuple(basis[i] for i in sorted(sup))
         components.append(
             RegularComponent(space, cid, sup, class_supports[cid], induced, comp_basis)
@@ -587,7 +598,8 @@ def _verify_decomposition(space, deco):
 def maximality_witness(space, component, outsider):
     """Evidence that adjoining ``outsider`` breaks the component's shared
     addition: either it has no induced addition at all (a scalar pair
-    escapes its orbit) or its table differs from the component's."""
+    escapes its orbit) or its definitional table differs from the
+    component's closed-form one."""
     if outsider in component.members:
         raise ValueError("witness requested for an inside vector")
     order = space.field.order

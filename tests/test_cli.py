@@ -137,6 +137,21 @@ def test_verify_raw_ragged_fixture_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("add, endos, message", [
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 5]], [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+     "outside range(3)"),
+    ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], [[0, 0, 0], [0, 1, 2], [0, 2, 7]],
+     "outside range(3)"),
+    ([1, 2], [], "lists of lists"),
+    ([[0, 1], [1, 0]], 5, "lists of lists"),
+], ids=["table_entry", "image", "flat_table", "scalar_endomorphisms"])
+def test_verify_raw_malformed_fixture_exits_2(tmp_path, capsys, add, endos, message):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps({"add_table": add, "endomorphisms": endos}))
+    assert main(["verify", "--raw", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_verify_without_config_or_raw_exits_2(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()

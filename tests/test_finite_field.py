@@ -1,17 +1,19 @@
 """Tests for exact GF(p^r) arithmetic."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from conftest import get_field
+from conftest import CORPUS, MODULI, get_field
 from nearvec.errors import (
     DivisionByZeroError,
     NonPrimeError,
     ReduciblePolynomialError,
     TooLargeError,
 )
-from nearvec.finite_field import Field, is_prime, prime_factors
+from nearvec.finite_field import TABLE_LIMIT, Field, is_prime, prime_factors
 
 
 def test_make_prime_field():
@@ -162,3 +164,44 @@ def test_large_field_sampled_laws(a, b, c):
     if a:
         assert f.mul(a, f.inv(a)) == 1
         assert f.pow(a, f.mult_order) == 1
+
+
+def _digit_add(f, a, b):
+    return f.element(tuple((x + y) % f.p for x, y in zip(f.coeffs(a), f.coeffs(b))))
+
+
+# every corpus field, plus fields whose tables take the row kernels'
+# r > 1 fold, XOR and prime-slice routes at sizes near the table limit
+TABLE_FIELDS = sorted({(p, r, MODULI.get((p, r))) for p, r, _ in CORPUS}) + [
+    (3, 5, (1, 2, 0, 0, 0, 1)),
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+    (1021, 1, None),
+]
+
+
+@pytest.mark.parametrize("key", TABLE_FIELDS, ids=str)
+def test_op_tables_match_per_element_arithmetic(key):
+    f = Field(*key)
+    add, mul = f.op_tables()
+    n = f.order
+    assert all(add[a] == f._add_row(a) for a in range(n))
+    if n <= 256:
+        rows = range(n)
+    else:
+        # all n^2 entries of _raw_mul would take minutes; take the rows at
+        # the block boundaries of the add-table rotation plus a seeded few
+        top = n // f.p
+        rows = {0, 1, top - 1, top, n - 1}
+        rows = sorted(rows | set(random.Random(n).sample(range(n), 24)))
+    for a in rows:
+        assert add[a] == [_digit_add(f, a, b) for b in range(n)], a
+        assert mul[a] == [f._raw_mul(a, b) for b in range(n)], a
+    for a in range(1, n):
+        assert f._raw_mul(a, f.inv(a)) == 1
+
+
+def test_add_row_above_table_limit_matches_digit_add():
+    f = Field(3, 7, (2, 0, 1, 0, 0, 0, 0, 1))
+    assert f.order > TABLE_LIMIT
+    for a in random.Random(7).sample(range(f.order), 6) + [0, f.order - 1]:
+        assert f._add_row(a) == [_digit_add(f, a, b) for b in range(f.order)]

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from conftest import get_space
-from nearvec.errors import NotCoprimeError, TooLargeError
+from nearvec.errors import InvalidVectorError, NotCoprimeError, TooLargeError
 from nearvec.finite_field import Field
 from nearvec.space import (
     TwistedSpace,
@@ -148,6 +148,9 @@ class TestQuasiKernel:
         assert len(closure) == space.size
 
 
+Z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
+
+
 class TestAxioms:
     @pytest.mark.parametrize(
         "key", [(11, 1, (3, 7, 3)), (5, 1, (1, 1)), (3, 2, (1, 5)), (2, 2, (1, 2))],
@@ -203,6 +206,16 @@ class TestAxioms:
         with pytest.raises(ValueError):
             check_axioms_raw([[0, 1], [1, 0]], [(0, 0), (0,)])
 
+    @pytest.mark.parametrize("table, endos, where", [
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 5]], [[0, 0, 0], [0, 1, 2], [0, 2, 1]],
+         r"add_table\[2\]\[2\]"),
+        (Z3, [[0, 0, 0], [0, 1, 2], [0, 2, 7]], r"endomorphisms\[2\]\[2\]"),
+        (Z3, [[0, 0, 0], [0, 1, 2], [0, 2, -1]], r"endomorphisms\[2\]\[2\]"),
+    ], ids=["table_entry_5", "image_7", "image_negative"])
+    def test_raw_out_of_range_entries_are_rejected(self, table, endos, where):
+        with pytest.raises(ValueError, match=where):
+            check_axioms_raw(table, endos)
+
     def test_raw_size_bound(self):
         with pytest.raises(TooLargeError):
             check_axioms_raw([[0] * 5000] * 5000, [])
@@ -235,6 +248,9 @@ class TestSerialization:
             vector_from_json(space, [1, 2])
         with pytest.raises(ValueError):
             vector_from_json(space, [1, 2, 99])
+        for bad in ([1, 2], [1, 2, 99], [1, True, 3], [1, 2, "3"], 7):
+            with pytest.raises(InvalidVectorError):
+                vector_from_json(space, bad)
 
     def test_quasi_kernel_report(self):
         qk = get_space(11, 1, (3, 7, 3)).quasi_kernel()

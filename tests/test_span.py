@@ -2,12 +2,14 @@
 
 import pytest
 
-from conftest import get_space
+from conftest import corpus_spaces, get_space
 from nearvec import near_field as nf
 from nearvec import span as spn
 from nearvec import structure as st
 from nearvec.errors import (
     HypothesisUnmetError,
+    InvalidVectorError,
+    NearVecError,
     NotABasisError,
     NotInQuasiKernelError,
     TooLargeError,
@@ -315,3 +317,30 @@ class TestExoticSpanWitnesses:
             spn.intersecting_span_witness(get_space(5, 1, (1, 3)))
         with pytest.raises(HypothesisUnmetError):
             spn.intersecting_span_witness(get_space(7, 1, (1, 1, 1)))
+
+
+class TestInducedNegation:
+    def test_field_negation_equals_index_scan_on_corpus(self):
+        for space in corpus_spaces():
+            for cls in space.classes:
+                table = space.class_addition_table(cls.index)
+                assert spn._InducedFieldOps(space, cls.index).neg == [
+                    row.index(0) for row in table
+                ], (space, cls.index)
+
+
+class TestVectorValidation:
+    @pytest.mark.parametrize("call", [
+        lambda space: spn.span_of(space, [(99, 0, 0)]),
+        lambda space: spn.span_of(space, [(1, 2)]),
+        lambda space: spn.dim_of_vector(space, (1,)),
+        lambda space: spn.coordinates_in_independent_set(
+            space, space.standard_basis(), (0, -1, 0)),
+        lambda space: spn.span_of(space, [(1, 2.0, 3)]),
+    ], ids=["out_of_range", "short", "dim_short", "coords_negative", "non_int"])
+    def test_bad_vector_raises_invalid_vector_error(self, call):
+        space = get_space(11, 1, (3, 7, 3))
+        with pytest.raises(InvalidVectorError) as info:
+            call(space)
+        assert isinstance(info.value, ValueError)
+        assert isinstance(info.value, NearVecError)

@@ -1,17 +1,21 @@
 """Tests for induced additions, kernels, regularity and decomposition."""
 
 import json
+import tracemalloc
 
 import pytest
 
-from conftest import get_space
+from conftest import corpus_spaces, get_space
 from nearvec import near_field as nf
 from nearvec import structure as st
 from nearvec.errors import (
     HypothesisUnmetError,
     NotInQuasiKernelError,
+    TooLargeError,
     ZeroVectorError,
 )
+from nearvec.finite_field import TABLE_LIMIT, Field
+from nearvec.space import CLASS_TABLE_LIMIT, TwistedSpace
 
 
 class TestInducedAddition:
@@ -287,3 +291,36 @@ class TestDecomposition:
     def test_decomposition_report_serializes(self):
         payload = st.decompose(get_space(5, 1, (1, 3))).to_json()
         assert json.loads(json.dumps(payload)) == payload
+
+
+class TestClosedFormDecomposition:
+    def test_components_match_definitional_additions_on_corpus(self):
+        for space in corpus_spaces():
+            for comp in st.decompose(space).components:
+                rep = comp.induced.base_vector
+                assert comp.induced.table == st.induced_addition(space, rep).table, (
+                    space, comp.class_id)
+
+    def test_class_table_above_dense_limit_matches_definition(self):
+        space = TwistedSpace(Field(1031), (7,))
+        assert space.field.order > TABLE_LIMIT
+        assert space.class_addition_table(0) == st._addition_table(space, (1,))
+
+    def test_bound_admits_the_fields_that_decompose(self):
+        assert CLASS_TABLE_LIMIT >= 2053
+        deco = st.decompose(TwistedSpace(Field(2053), (5,)))
+        assert [len(c.members) for c in deco.components] == [2053]
+
+    def test_field_above_bound_is_refused_before_allocation(self):
+        space = TwistedSpace(Field(4099), (1,))
+        assert space.field.order > CLASS_TABLE_LIMIT
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLargeError, match=str(CLASS_TABLE_LIMIT)):
+                st.decompose(space)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the table would hold 4099^2 list slots, over 130 MB
+        assert peak < 16 * 2**20
+        assert space._class_add_tables == {}

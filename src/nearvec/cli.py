@@ -64,8 +64,11 @@ def _print_plain(report, indent=0):
 
 
 def cmd_info(args):
+    """Field, classes and regularity, the latter in closed form: V is
+    regular iff it has one exponent class (``structure.is_regular`` is
+    the pairwise oracle behind ``verify``)."""
     space = load_space(args.config)
-    regular = structure.is_regular(space)
+    regular = len(space.classes) == 1
     report = {
         "field": repr(space.field),
         "size": space.size,
@@ -74,12 +77,19 @@ def cmd_info(args):
             {"support": list(c.support), "exponent": c.exponent}
             for c in space.classes
         ],
-        "regular": regular.regular,
+        "regular": regular,
         "component_count": len(space.classes),
     }
-    if not regular.regular:
+    if not regular:
+        # the pairwise scan's first incompatible pair: e_(n-1) is the least
+        # nonzero quasi-kernel vector, and the least one outside its class
+        # is e_j for the largest coordinate j of another class
+        last = space.n - 1
+        j = max(i for c in space.classes if last not in c.support for i in c.support)
+        basis = space.standard_basis()
         report["incompatible_pair"] = [
-            vector_to_json(space, v) for v in regular.witness
+            vector_to_json(space, basis[last]),
+            vector_to_json(space, basis[j]),
         ]
     emit(report, args.json)
     return 0
@@ -120,6 +130,13 @@ def cmd_verify(args):
     if args.raw:
         with open(args.raw) as fh:
             fixture = json.load(fh)
+        if not isinstance(fixture, dict):
+            raise ValueError(
+                f"raw fixture must be a JSON object, not {type(fixture).__name__}"
+            )
+        for key in ("add_table", "endomorphisms"):
+            if key not in fixture:
+                raise ValueError(f"raw fixture has no {key!r} entry")
         report = check_axioms_raw(fixture["add_table"], fixture["endomorphisms"])
         payload = report.to_json()
         emit(payload, args.json)

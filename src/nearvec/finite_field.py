@@ -142,6 +142,7 @@ class Field:
         self._neg_table = None
         self._inv_table = None
         self._generator = None
+        self._exp_log = None
 
     def _check_irreducible(self, mod):
         # Exhaustive search for a monic factor of degree <= r/2; feasible
@@ -280,14 +281,8 @@ class Field:
                 add[a + shift] = row[shift:] + row[:shift]
         # multiplication through discrete logs of a fixed generator: row a
         # reads exp[log a + log b], a window of the doubled exp list
-        g = self.generator()
+        exp, log = self._log_walk()
         m = self.mult_order
-        exp = [1] * max(m, 1)
-        for i in range(1, m):
-            exp[i] = self._raw_mul(exp[i - 1], g)
-        log = [None] * n
-        for i, e in enumerate(exp):
-            log[e] = i
         exp2 = exp + exp
         unit_logs = log[1:]
         mul = [[0] * n]
@@ -343,9 +338,33 @@ class Field:
                     raise RuntimeError("no multiplicative generator found")
         return self._generator
 
+    def _log_walk(self):
+        """(exp, log) of the smallest generator g: exp[i] = g^i for
+        i < |F*| and log[exp[i]] = i, with log[0] = None; walked once
+        through polynomial products and cached."""
+        if self._exp_log is None:
+            g = self.generator()
+            m = self.mult_order
+            exp = [1] * max(m, 1)
+            for i in range(1, m):
+                exp[i] = self._raw_mul(exp[i - 1], g)
+            log = [None] * self.order
+            for i, e in enumerate(exp):
+                log[e] = i
+            self._exp_log = (exp, log)
+        return self._exp_log
+
     def pow_table(self, k):
-        """[x^k for every element x], used for twist actions downstream."""
-        return [self.pow(x, k) for x in range(self.order)]
+        """[x^k for every element x], used for twist actions downstream.
+
+        In an extension field x^k = exp[(log x * k) mod |F*|] for x != 0,
+        one lookup per element; a prime field uses the builtin pow.
+        """
+        if self.r == 1:
+            return [self.pow(x, k) for x in range(self.order)]
+        exp, log = self._log_walk()
+        m = self.mult_order
+        return [self.pow(0, k)] + [exp[log[x] * k % m] for x in range(1, self.order)]
 
     # -- identity ---------------------------------------------------------
 

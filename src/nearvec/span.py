@@ -240,7 +240,8 @@ def span_of(space, generators):
     scalar_mul = space.scalar_mul
     scalars = range(space.field.order)
     for w in chosen:
-        members = {add(m, scalar_mul(a, w)) for m in members for a in scalars}
+        multiples = [scalar_mul(a, w) for a in scalars]
+        members = {add(m, x) for m in members for x in multiples}
     expected = space.field.order ** len(chosen)
     if len(members) != expected:
         raise AssertionError("independent generators produced colliding sums")

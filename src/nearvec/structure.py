@@ -55,19 +55,37 @@ def _require_quasi_nonzero(space, v):
 def _addition_table(space, v):
     """Resolve gamma in alpha v + beta v = gamma v for every scalar pair.
 
-    Fixed-point-freeness makes the multiple map injective, so the orbit
-    lookup is exactly the gamma scan of the definition.
+    Vector addition is coordinate-wise, so the orbit lookup is done one
+    support coordinate at a time: with col[a] = (a v)_i, which
+    fixed-point-freeness makes injective, and pos its inverse, coordinate
+    i resolves gamma = pos[col[a] + col[b]].  The sum lies in the orbit
+    exactly when every support coordinate resolves the same gamma, so the
+    table is that common table, and a disagreement means v is outside
+    the quasi-kernel (NotInQuasiKernelError).
     """
-    order = space.field.order
+    field = space.field
+    order = field.order
     multiples = [space.scalar_mul(a, v) for a in range(order)]
-    resolve = {w: g for g, w in enumerate(multiples)}
-    if len(resolve) != order:
+    dense = field._add_table
+    add_row = dense.__getitem__ if dense is not None else field._add_row
+    table = None
+    for i, x in enumerate(v):
+        if not x:
+            continue
+        col = [w[i] for w in multiples]
+        pos = {c: g for g, c in enumerate(col)}
+        if len(pos) != order:
+            raise AssertionError(f"scalar action is not fixed point free on {v}")
+        rows = [
+            list(map(pos.__getitem__, map(add_row(ca).__getitem__, col)))
+            for ca in col
+        ]
+        if table is None:
+            table = rows
+        elif rows != table:
+            raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
+    if table is None:  # the zero vector: every multiple is zero
         raise AssertionError(f"scalar action is not fixed point free on {v}")
-    add = space.add
-    table = []
-    for a in range(order):
-        va = multiples[a]
-        table.append([resolve[add(va, multiples[b])] for b in range(order)])
     return table
 
 
@@ -156,19 +174,33 @@ class RegularityCertificate:
 
 
 def is_regular(space):
-    """Pairwise compatibility of all nonzero quasi-kernel vectors.
+    """Pairwise compatibility of the nonzero quasi-kernel vectors, scanned
+    over one representative per scalar orbit.
 
-    Compatibility is symmetric (rescale by lambda^-1), so unordered
-    pairs suffice.
+    Compatibility is symmetric (rescale by lambda^-1) and invariant under
+    scaling either vector: u + lambda v in Q gives
+    alpha u + (alpha lambda beta^-1)(beta v) = alpha (u + lambda v) in Q,
+    as Q is closed under the action.  So only the orbit minima (the first
+    member of each orbit in sorted order) are paired, and
+    ``pairs_checked`` counts those representative pairs.  The verdict and
+    witness are those of the scan over all unordered pairs: the first
+    failing u of that scan is an orbit minimum, since its orbit minimum
+    fails with the same partner, and so is u's first failing partner.
     """
     qstar = space.quasi_kernel().sorted_nonzero()
     members = space.quasi_kernel().members
     add = space.add
     scalar_mul = space.scalar_mul
     order = space.field.order
+    reps = []
+    seen = set()
+    for v in qstar:
+        if v not in seen:
+            reps.append(v)
+            seen.update(scalar_mul(a, v) for a in range(1, order))
     checked = 0
-    for i, u in enumerate(qstar):
-        for v in qstar[i:]:
+    for i, u in enumerate(reps):
+        for v in reps[i:]:
             checked += 1
             if not any(
                 add(u, scalar_mul(lam, v)) in members for lam in range(1, order)
@@ -269,8 +301,9 @@ class EquivalenceReport:
 
 
 def _division_ring_verdict(space, table, cache):
-    """Both distributive laws on the induced table, exhaustively."""
-    key = tuple(map(tuple, table))
+    """Both distributive laws on the induced table, exhaustively; the
+    cache is keyed by table identity, so callers intern equal tables."""
+    key = id(table)
     if key in cache:
         return cache[key]
     _, mul = space.field.op_tables()
@@ -339,13 +372,25 @@ def regularity_equivalences(space):
     field = space.field
     order = field.order
 
+    # equal tables share one object, so the verdict caches below can key
+    # on identity and each distinct table is checked once
     tables = {}
+    interned = {}
 
     def table_of(v):
         t = tables.get(v)
         if t is None:
-            t = tables[v] = _addition_table(space, v)
+            t = _addition_table(space, v)
+            t = tables[v] = interned.setdefault(tuple(map(tuple, t)), t)
         return t
+
+    distributes = {}
+
+    def coordinate_distributes(t, i):
+        key = (id(t), i)
+        if key not in distributes:
+            distributes[key] = _coordinate_distributes(space, t, i)
+        return distributes[key]
 
     dr_cache = {}
     conditions = {}
@@ -381,7 +426,7 @@ def regularity_equivalences(space):
     for w in qstar:
         t = table_of(w)
         for i in range(space.n):
-            bad = _coordinate_distributes(space, t, i)
+            bad = coordinate_distributes(t, i)
             if bad is not None:
                 e_i = tuple(1 if j == i else 0 for j in range(space.n))
                 ok, wit = False, (w, e_i, bad)
@@ -423,7 +468,7 @@ def regularity_equivalences(space):
     def module_law_verdict(v):
         t = table_of(v)
         for i in range(space.n):
-            bad = _coordinate_distributes(space, t, i)
+            bad = coordinate_distributes(t, i)
             if bad is not None:
                 return (i, bad)
         return None

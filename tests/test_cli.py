@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from conftest import CORPUS, get_space
+from nearvec import structure as st
 from nearvec.cli import main
+from nearvec.space import vector_to_json
 
 WORKED_CONFIG = {"p": 11, "r": 1, "modulus_poly": None, "exponents": [3, 7, 3]}
 FLAWED_CONFIG = {"p": 11, "r": 1, "modulus_poly": None, "exponents": [3, 5, 3]}
@@ -40,6 +43,17 @@ def test_info_regular_space(write_config, capsys):
     code, report = run_json(capsys, ["info", write_config(cfg), "--json"])
     assert code == 0
     assert report["regular"] is True and report["component_count"] == 1
+
+
+@pytest.mark.parametrize("key", CORPUS, ids=str)
+def test_info_regularity_matches_pairwise_oracle(write_config, capsys, key):
+    space = get_space(*key)
+    code, report = run_json(capsys, ["info", write_config(space.to_config()), "--json"])
+    assert code == 0
+    cert = st.is_regular(space)
+    assert report["regular"] is cert.regular
+    expected = None if cert.regular else [vector_to_json(space, v) for v in cert.witness]
+    assert report.get("incompatible_pair") == expected
 
 
 def test_flawed_config_exits_2_with_witness(write_config, capsys):
@@ -148,6 +162,18 @@ def test_verify_raw_ragged_fixture_exits_2(tmp_path, capsys):
 def test_verify_raw_malformed_fixture_exits_2(tmp_path, capsys, add, endos, message):
     path = tmp_path / "raw.json"
     path.write_text(json.dumps({"add_table": add, "endomorphisms": endos}))
+    assert main(["verify", "--raw", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fixture, message", [
+    ([], "JSON object, not list"),
+    ({"add_table": [[0]]}, "'endomorphisms'"),
+    ({"endomorphisms": []}, "'add_table'"),
+], ids=["list", "no_endomorphisms", "no_add_table"])
+def test_verify_raw_fixture_shape_exits_2(tmp_path, capsys, fixture, message):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(fixture))
     assert main(["verify", "--raw", str(path)]) == 2
     assert message in capsys.readouterr().err
 

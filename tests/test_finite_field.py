@@ -172,7 +172,8 @@ def _digit_add(f, a, b):
 
 # every corpus field, plus fields whose tables take the row kernels'
 # r > 1 fold, XOR and prime-slice routes at sizes near the table limit
-TABLE_FIELDS = sorted({(p, r, MODULI.get((p, r))) for p, r, _ in CORPUS}) + [
+CORPUS_FIELDS = sorted({(p, r, MODULI.get((p, r))) for p, r, _ in CORPUS})
+TABLE_FIELDS = CORPUS_FIELDS + [
     (3, 5, (1, 2, 0, 0, 0, 1)),
     (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
     (1021, 1, None),
@@ -198,6 +199,19 @@ def test_op_tables_match_per_element_arithmetic(key):
         assert mul[a] == [f._raw_mul(a, b) for b in range(n)], a
     for a in range(1, n):
         assert f._raw_mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize(
+    "key",
+    CORPUS_FIELDS + [(3, 7, (2, 0, 1, 0, 0, 0, 0, 1)), (2, 11, (1, 0, 1) + (0,) * 8 + (1,))],
+    ids=str,
+)
+def test_pow_table_matches_pow(key):
+    f = Field(*key)  # fresh: pow goes through polynomial products, no tables
+    m = f.mult_order
+    for k in (0, 1, 2, f.p, 5, m - 1, m + 3):
+        expected = [f.pow(x, k) for x in range(f.order)]
+        assert f.pow_table(k) == expected, k
 
 
 def test_add_row_above_table_limit_matches_digit_add():

@@ -1,11 +1,12 @@
 """Tests for induced additions, kernels, regularity and decomposition."""
 
 import json
+import random
 import tracemalloc
 
 import pytest
 
-from conftest import corpus_spaces, get_space
+from conftest import CORPUS, corpus_spaces, get_space
 from nearvec import near_field as nf
 from nearvec import structure as st
 from nearvec.errors import (
@@ -47,6 +48,24 @@ class TestInducedAddition:
                 st.induced_addition(space, v).table
                 == st.induced_addition_closed_form(space, v).table
             )
+
+    @pytest.mark.parametrize("key", CORPUS, ids=str)
+    def test_table_matches_tuple_orbit_resolve(self, key):
+        space = get_space(*key)
+        qstar = space.quasi_kernel().sorted_nonzero()
+        if space.size > 2000:
+            qstar = random.Random(space.size).sample(qstar, 8)
+        add = space.add
+        for v in qstar:
+            multiples = [space.scalar_mul(a, v) for a in range(space.field.order)]
+            resolve = {w: g for g, w in enumerate(multiples)}
+            expected = [[resolve[add(va, vb)] for vb in multiples] for va in multiples]
+            assert st._addition_table(space, v) == expected, v
+
+    def test_table_rejects_mixed_support_vector(self):
+        space = get_space(11, 1, (3, 7, 3))
+        with pytest.raises(NotInQuasiKernelError, match=r"\(1, 1, 0\)"):
+            st._addition_table(space, (1, 1, 0))
 
     def test_defining_property(self):
         space = get_space(11, 1, (3, 7, 3))
@@ -167,6 +186,32 @@ class TestCompatibilityAndRegularity:
         for key in [(11, 1, (7,)), (13, 2, (5,)), (3, 2, (5,))]:
             assert st.is_regular(get_space(*key)).regular
 
+    @pytest.mark.parametrize(
+        "key", [k for k in CORPUS if get_space(*k).size <= 2000], ids=str
+    )
+    def test_orbit_scan_matches_all_pairs_scan(self, key):
+        space = get_space(*key)
+        qstar = space.quasi_kernel().sorted_nonzero()
+        members = space.quasi_kernel().members
+        units = range(1, space.field.order)
+        witness = None
+        for i, u in enumerate(qstar):
+            for v in qstar[i:]:
+                if not any(
+                    space.add(u, space.scalar_mul(lam, v)) in members
+                    for lam in units
+                ):
+                    witness = (u, v)
+                    break
+            if witness:
+                break
+        cert = st.is_regular(space)
+        assert (cert.regular, cert.witness) == (witness is None, witness)
+        # one pair per unordered pair of scalar orbits
+        orbits = len(qstar) // (space.field.order - 1)
+        if cert.regular:
+            assert cert.pairs_checked == orbits * (orbits + 1) // 2
+
 
 class TestSharedAdditionLemma:
     def test_same_class_expansions_share_addition(self):
@@ -210,6 +255,12 @@ class TestEquivalences:
         assert report.consistent
         assert report.verdict is expected
         assert set(report.conditions) == {"1", "1'", "2", "2'", "3", "4", "5", "6", "7"}
+
+    def test_verdict_is_the_class_count_verdict_on_corpus(self):
+        for space in corpus_spaces():
+            report = st.regularity_equivalences(space)
+            assert report.consistent, space
+            assert report.verdict == (len(space.classes) == 1), space
 
     def test_report_serializes(self):
         report = st.regularity_equivalences(get_space(5, 1, (1, 3)))

@@ -64,11 +64,10 @@ def _print_plain(report, indent=0):
 
 
 def cmd_info(args):
-    """Field, classes and regularity, the latter in closed form: V is
-    regular iff it has one exponent class (``structure.is_regular`` is
-    the pairwise oracle behind ``verify``)."""
+    """Field, classes and regularity, the latter in closed form
+    (``structure.is_regular`` is the pairwise oracle behind ``verify``)."""
     space = load_space(args.config)
-    regular = len(space.classes) == 1
+    regular = structure.regularity_closed_form(space)
     report = {
         "field": repr(space.field),
         "size": space.size,
@@ -77,19 +76,12 @@ def cmd_info(args):
             {"support": list(c.support), "exponent": c.exponent}
             for c in space.classes
         ],
-        "regular": regular,
+        "regular": regular.regular,
         "component_count": len(space.classes),
     }
-    if not regular:
-        # the pairwise scan's first incompatible pair: e_(n-1) is the least
-        # nonzero quasi-kernel vector, and the least one outside its class
-        # is e_j for the largest coordinate j of another class
-        last = space.n - 1
-        j = max(i for c in space.classes if last not in c.support for i in c.support)
-        basis = space.standard_basis()
+    if not regular.regular:
         report["incompatible_pair"] = [
-            vector_to_json(space, basis[last]),
-            vector_to_json(space, basis[j]),
+            vector_to_json(space, v) for v in regular.witness
         ]
     emit(report, args.json)
     return 0

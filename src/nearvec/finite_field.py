@@ -357,11 +357,9 @@ class Field:
     def pow_table(self, k):
         """[x^k for every element x], used for twist actions downstream.
 
-        In an extension field x^k = exp[(log x * k) mod |F*|] for x != 0,
-        one lookup per element; a prime field uses the builtin pow.
+        x^k = exp[(log x * k) mod |F*|] for x != 0, one lookup per element
+        in the cached discrete-log walk (F* is cyclic in every field).
         """
-        if self.r == 1:
-            return [self.pow(x, k) for x in range(self.order)]
         exp, log = self._log_walk()
         m = self.mult_order
         return [self.pow(0, k)] + [exp[log[x] * k % m] for x in range(1, self.order)]

@@ -52,23 +52,25 @@ def _require_quasi_nonzero(space, v):
         raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
 
 
-def _addition_table(space, v):
+def _orbit_sums(space, v):
     """Resolve gamma in alpha v + beta v = gamma v for every scalar pair.
 
     Vector addition is coordinate-wise, so the orbit lookup is done one
     support coordinate at a time: with col[a] = (a v)_i, which
     fixed-point-freeness makes injective, and pos its inverse, coordinate
-    i resolves gamma = pos[col[a] + col[b]].  The sum lies in the orbit
-    exactly when every support coordinate resolves the same gamma, so the
-    table is that common table, and a disagreement means v is outside
-    the quasi-kernel (NotInQuasiKernelError).
+    i resolves gamma = pos[col[a] + col[b]].  The sum a v + b v lies in
+    the orbit exactly when every support coordinate resolves the same
+    gamma.  Returns (table, None) when they all do, else (None, (a, b))
+    for the first pair in row-major order whose sum leaves the orbit (a
+    and b are then nonzero, since 0 v + b v = b v); rows are resolved in
+    order, so the scan stops at the first row holding such a pair.
     """
     field = space.field
     order = field.order
     multiples = [space.scalar_mul(a, v) for a in range(order)]
     dense = field._add_table
     add_row = dense.__getitem__ if dense is not None else field._add_row
-    table = None
+    coords = []
     for i, x in enumerate(v):
         if not x:
             continue
@@ -76,16 +78,29 @@ def _addition_table(space, v):
         pos = {c: g for g, c in enumerate(col)}
         if len(pos) != order:
             raise AssertionError(f"scalar action is not fixed point free on {v}")
-        rows = [
-            list(map(pos.__getitem__, map(add_row(ca).__getitem__, col)))
-            for ca in col
-        ]
-        if table is None:
-            table = rows
-        elif rows != table:
-            raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
-    if table is None:  # the zero vector: every multiple is zero
+        coords.append((col, pos.__getitem__))
+    if not coords:  # the zero vector: every multiple is zero
         raise AssertionError(f"scalar action is not fixed point free on {v}")
+    table = []
+    for a in range(order):
+        rows = [
+            list(map(back, map(add_row(col[a]).__getitem__, col)))
+            for col, back in coords
+        ]
+        row = rows[0]
+        if rows.count(row) != len(rows):
+            b = next(b for b in range(order) if any(r[b] != row[b] for r in rows))
+            return None, (a, b)
+        table.append(row)
+    return table, None
+
+
+def _addition_table(space, v):
+    """The definitional +_v table from the orbit of v (``_orbit_sums``);
+    NotInQuasiKernelError when a scalar pair's sum leaves the orbit."""
+    table, escape = _orbit_sums(space, v)
+    if escape is not None:
+        raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
     return table
 
 
@@ -209,6 +224,26 @@ def is_regular(space):
     return RegularityCertificate(True, None, checked)
 
 
+def regularity_closed_form(space):
+    """``is_regular``'s verdict and witness read off the exponent classes,
+    with no pair scanned (``pairs_checked`` is 0).
+
+    Q(V)* is the set of nonzero class-supported vectors, so V is regular
+    iff it has one class.  Otherwise the pairwise scan's first
+    incompatible pair is (e_(n-1), e_j), j the largest coordinate outside
+    the class of n-1: in the sorted order of ``sorted_nonzero`` e_(n-1)
+    is the least vector of Q(V)*, it is compatible exactly with the
+    vectors of its own class, and the least vector supported on another
+    class is e_j.
+    """
+    if len(space.classes) == 1:
+        return RegularityCertificate(True, None, 0)
+    last = space.n - 1
+    j = max(i for c in space.classes if last not in c.support for i in c.support)
+    basis = space.standard_basis()
+    return RegularityCertificate(False, (basis[last], basis[j]), 0)
+
+
 def verify_shared_addition(space, basis, v, v_prime):
     """Confirm that two quasi-kernel vectors whose basis expansions share
     an addition at two different slots share it everywhere.
@@ -300,12 +335,8 @@ class EquivalenceReport:
         }
 
 
-def _division_ring_verdict(space, table, cache):
-    """Both distributive laws on the induced table, exhaustively; the
-    cache is keyed by table identity, so callers intern equal tables."""
-    key = id(table)
-    if key in cache:
-        return cache[key]
+def _division_ring_verdict(space, table):
+    """Both distributive laws on the induced table, exhaustively."""
     _, mul = space.field.op_tables()
     els = range(space.field.order)
     verdict = (True, None)
@@ -341,7 +372,6 @@ def _division_ring_verdict(space, table, cache):
                     break
             if done:
                 break
-    cache[key] = verdict
     return verdict
 
 
@@ -392,7 +422,14 @@ def regularity_equivalences(space):
             distributes[key] = _coordinate_distributes(space, t, i)
         return distributes[key]
 
-    dr_cache = {}
+    division_ring = {}
+
+    def division_ring_verdict(t):
+        key = id(t)
+        if key not in division_ring:
+            division_ring[key] = _division_ring_verdict(space, t)
+        return division_ring[key]
+
     conditions = {}
     witnesses = {}
 
@@ -403,7 +440,7 @@ def regularity_equivalences(space):
     dr_all = True
     if q_is_v:
         for v in qstar:
-            ok, cx = _division_ring_verdict(space, table_of(v), dr_cache)
+            ok, cx = division_ring_verdict(table_of(v))
             if not ok:
                 dr_all, wit = False, (v, cx)
                 break
@@ -456,7 +493,7 @@ def regularity_equivalences(space):
     ok, wit = reg.regular, reg.witness
     if ok:
         for v in qstar:
-            passed, cx = _division_ring_verdict(space, table_of(v), dr_cache)
+            passed, cx = division_ring_verdict(table_of(v))
             if not passed:
                 ok, wit = False, (v, cx)
                 break
@@ -492,7 +529,7 @@ def regularity_equivalences(space):
         if not base_ok:
             return base_ok, None
         for v in qstar:
-            passed, cx = _division_ring_verdict(space, table_of(v), dr_cache)
+            passed, cx = division_ring_verdict(table_of(v))
             if not passed:
                 return False, (v, cx)
         return True, None
@@ -501,7 +538,7 @@ def regularity_equivalences(space):
     ok2 = conditions["2"]
     if ok2:
         v2 = witnesses["2"]
-        passed, cx = _division_ring_verdict(space, table_of(v2), dr_cache)
+        passed, cx = division_ring_verdict(table_of(v2))
         conditions["2'"], witnesses["2'"] = passed, (v2 if passed else (v2, cx))
     else:
         conditions["2'"], witnesses["2'"] = False, None
@@ -648,15 +685,9 @@ def maximality_witness(space, component, outsider):
     if outsider in component.members:
         raise ValueError("witness requested for an inside vector")
     order = space.field.order
-    multiples = [space.scalar_mul(a, outsider) for a in range(order)]
-    orbit = set(multiples)
-    add = space.add
-    for a in range(1, order):
-        va = multiples[a]
-        for b in range(1, order):
-            if add(va, multiples[b]) not in orbit:
-                return ("not_in_quasi_kernel", (a, b))
-    table = _addition_table(space, outsider)
+    table, escape = _orbit_sums(space, outsider)
+    if escape is not None:
+        return ("not_in_quasi_kernel", escape)
     ref = component.induced.table
     for a in range(order):
         for b in range(order):

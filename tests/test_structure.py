@@ -212,6 +212,13 @@ class TestCompatibilityAndRegularity:
         if cert.regular:
             assert cert.pairs_checked == orbits * (orbits + 1) // 2
 
+    @pytest.mark.parametrize("key", CORPUS, ids=str)
+    def test_closed_form_matches_pairwise_oracle(self, key):
+        space = get_space(*key)
+        cert = st.is_regular(space)
+        closed = st.regularity_closed_form(space)
+        assert (closed.regular, closed.witness) == (cert.regular, cert.witness)
+
 
 class TestSharedAdditionLemma:
     def test_same_class_expansions_share_addition(self):
@@ -330,14 +337,42 @@ class TestDecomposition:
                 assert spn.span_of(space, comp.basis).members == comp.members
 
     def test_maximality_witnesses_exhaustive(self):
-        space = get_space(11, 1, (3, 7, 3))
-        deco = st.decompose(space)
-        for comp in deco.components:
-            for m in space.vectors():
-                if m in comp.members:
-                    continue
+        # a vector outside Q(V) is refused with the first pair (a, b) of
+        # nonzero scalars whose sum leaves its orbit; one inside Q(V) has
+        # a different addition
+        def first_escape(space, m):
+            units = range(1, space.field.order)
+            multiples = [space.scalar_mul(a, m) for a in range(space.field.order)]
+            orbit = set(multiples)
+            return next(
+                (a, b) for a in units for b in units
+                if space.add(multiples[a], multiples[b]) not in orbit
+            )
+
+        for key in [(11, 1, (3, 7, 3)), (3, 2, (1, 1, 5)), (5, 1, (1, 3, 3))]:
+            space = get_space(*key)
+            qk = space.quasi_kernel().members
+            for comp in st.decompose(space).components:
+                for m in space.vectors():
+                    if m in comp.members:
+                        continue
+                    witness = st.maximality_witness(space, comp, m)
+                    if m in qk:
+                        assert witness[0] == "different_addition", (key, m)
+                    else:
+                        expected = ("not_in_quasi_kernel", first_escape(space, m))
+                        assert witness == expected, (key, m)
+        # in GF(31), 2^(1/11) = 2: the exponent-11 coordinate agrees with
+        # the exponent-1 one on 1 + 1 and the exponent-7 one does not, so
+        # the first escaping pair is the earliest over all coordinates,
+        # neither the first nor the last disagreeing coordinate's
+        for exponents in [(1, 11, 7), (1, 7, 11)]:
+            space = get_space(31, 1, exponents)
+            comp = st.decompose(space).components[0]
+            for m in [(1, 1, 1), (2, 3, 5)]:
                 witness = st.maximality_witness(space, comp, m)
-                assert witness is not None
+                assert witness == ("not_in_quasi_kernel", first_escape(space, m)) == (
+                    "not_in_quasi_kernel", (1, 1)), (exponents, m)
 
     def test_decomposition_report_serializes(self):
         payload = st.decompose(get_space(5, 1, (1, 3))).to_json()

@@ -4,7 +4,10 @@ from .errors import (
     ConstructionFailedError,
     DivisionByZeroError,
     HypothesisUnmetError,
+    InvalidConfigError,
+    InvalidMapError,
     InvalidVectorError,
+    InvariantError,
     NearVecError,
     NonPrimeError,
     NotABasisError,
@@ -37,7 +40,10 @@ __all__ = [
     "NotInQuasiKernelError",
     "ZeroVectorError",
     "HypothesisUnmetError",
+    "InvalidConfigError",
+    "InvalidMapError",
     "InvalidVectorError",
+    "InvariantError",
     "NotABasisError",
     "ConstructionFailedError",
     "__version__",

@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import span as span_mod
-from . import structure, verify
+from . import hom, structure, verify
 from .errors import NearVecError, NotCoprimeError
 from .report import jsonify
 from .space import (
@@ -149,84 +149,15 @@ def cmd_verify(args):
     return 0
 
 
-def hom_check(space1, space2, theta, eta):
-    """Verify a homomorphism pair: theta additive, eta multiplicative on
-    units, and theta(alpha x) = eta(alpha) theta(x) throughout."""
-    v1 = space1.vectors()
-    units1 = list(range(1, space1.field.order))
-    if set(theta) != set(v1):
-        raise ValueError("theta must be defined on every vector of the source")
-    if set(eta) != set(units1):
-        raise ValueError("eta must be defined on every unit scalar of the source")
-    for image in theta.values():
-        if len(image) != space2.n or any(
-            not 0 <= x < space2.field.order for x in image
-        ):
-            raise ValueError(f"theta image {image} is not a target vector")
-    for image in eta.values():
-        if not 1 <= image < space2.field.order:
-            raise ValueError(f"eta image {image} is not a target unit")
-
-    checks = []
-    ok, witness = True, None
-    for x in v1:
-        tx = theta[x]
-        for y in v1:
-            if theta[space1.add(x, y)] != space2.add(tx, theta[y]):
-                ok, witness = False, (x, y)
-                break
-        if not ok:
-            break
-    checks.append({"name": "theta_additive", "pass": ok,
-                   "witness": jsonify(witness)})
-
-    ok2, witness = True, None
-    for a in units1:
-        for b in units1:
-            if eta[space1.field.mul(a, b)] != space2.field.mul(eta[a], eta[b]):
-                ok2, witness = False, (a, b)
-                break
-        if not ok2:
-            break
-    checks.append({"name": "eta_multiplicative", "pass": ok2,
-                   "witness": jsonify(witness)})
-
-    ok3, witness = True, None
-    for a in units1:
-        for x in v1:
-            if theta[space1.scalar_mul(a, x)] != space2.scalar_mul(eta[a], theta[x]):
-                ok3, witness = False, (a, x)
-                break
-        if not ok3:
-            break
-    checks.append({"name": "intertwining", "pass": ok3,
-                   "witness": jsonify(witness)})
-
-    return {"pass": ok and ok2 and ok3, "checks": checks}
-
-
 def cmd_hom(args):
+    """Check a (theta, eta) map through ``hom.hom_check``: generator
+    checks first, the all-pairs scan only for a failing condition's
+    witness."""
     space1 = load_space(args.config)
     space2 = load_space(args.config2)
     with open(args.map) as fh:
-        tables = json.load(fh)
-    theta_list = tables["theta"]
-    eta_list = tables["eta"]
-    v1 = space1.vectors()
-    units1 = list(range(1, space1.field.order))
-    if len(theta_list) != len(v1) or len(eta_list) != len(units1):
-        raise ValueError("theta/eta tables have the wrong length")
-    theta = {
-        v: vector_from_json(space2, image) for v, image in zip(v1, theta_list)
-    }
-    eta = {}
-    for a, image in zip(units1, eta_list):
-        eta[a] = (
-            image
-            if isinstance(image, int)
-            else space2.field.element(image)
-        )
-    report = hom_check(space1, space2, theta, eta)
+        theta, eta = hom.parse_map(space1, space2, json.load(fh))
+    report = hom.hom_check(space1, space2, theta, eta)
     emit(report, args.json)
     return 0 if report["pass"] else 1
 

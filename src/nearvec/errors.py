@@ -52,6 +52,22 @@ class InvalidVectorError(NearVecError, ValueError):
     element index of the field."""
 
 
+class InvalidConfigError(NearVecError, ValueError):
+    """A space config is not a JSON object of the expected shape: a key
+    is missing or holds a value of the wrong type."""
+
+
+class InvalidMapError(NearVecError, ValueError):
+    """A homomorphism map is malformed: not a JSON object, a missing
+    key, a table of the wrong length or an entry outside the target."""
+
+
+class InvariantError(NearVecError, AssertionError):
+    """An internal invariant failed: two routes disagree or a
+    construction produced something it must not.  This is a bug in the
+    package, never bad input."""
+
+
 class NotInQuasiKernelError(NearVecError):
     """An operation required a quasi-kernel vector and got something else."""
 

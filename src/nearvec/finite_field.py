@@ -113,13 +113,17 @@ class Field:
     """
 
     def __init__(self, p, r=1, modulus=None):
-        if not isinstance(p, int) or not is_prime(p):
+        if not isinstance(p, int):
             raise NonPrimeError(f"{p} is not prime")
         if not isinstance(r, int) or r < 1:
             raise ValueError(f"extension degree must be a positive integer, got {r}")
+        # bounded before the power and the primality scan, which would
+        # build an r-bit integer and take sqrt(p) steps
+        if p > MAX_ORDER or r >= MAX_ORDER.bit_length() or p ** r > MAX_ORDER:
+            raise TooLargeError(f"p^r = {p}^{r} exceeds the bound {MAX_ORDER}")
+        if not is_prime(p):
+            raise NonPrimeError(f"{p} is not prime")
         order = p ** r
-        if order > MAX_ORDER:
-            raise TooLargeError(f"p^r = {order} exceeds the bound {MAX_ORDER}")
         self.p = p
         self.r = r
         self.order = order
@@ -169,8 +173,8 @@ class Field:
         cs = tuple(coeffs)
         if len(cs) != self.r:
             raise ValueError(f"expected {self.r} coefficients, got {len(cs)}")
-        if any(not (0 <= c < self.p) for c in cs):
-            raise ValueError(f"coefficients must lie in [0, {self.p}): {cs}")
+        if any(type(c) is not int or not 0 <= c < self.p for c in cs):
+            raise ValueError(f"coefficients must be integers in [0, {self.p}): {cs}")
         return sum(c * w for c, w in zip(cs, self._powers))
 
     def elements(self):

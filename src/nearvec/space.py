@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from itertools import product
 from math import gcd
 
-from .errors import InvalidVectorError, NotCoprimeError, TooLargeError
+from .errors import (
+    InvalidConfigError,
+    InvalidVectorError,
+    NotCoprimeError,
+    TooLargeError,
+)
 from .finite_field import Field, TABLE_LIMIT
 from .near_field import (
     associativity_failure,
@@ -36,6 +41,43 @@ AXIOM_FIELD_LIMIT = 512
 # a class addition table holds |F|^2 entries; it is refused above this
 # field order (2^24 entries, about 130 MB of list slots)
 CLASS_TABLE_LIMIT = 1 << 12
+
+
+def _is_int(x):
+    return type(x) is int  # bool too: JSON true is no integer
+
+
+def _is_int_list(x):
+    return isinstance(x, (list, tuple)) and all(map(_is_int, x))
+
+
+# key, required, expected type, its test
+_CONFIG_SCHEMA = (
+    ("p", True, "an integer", _is_int),
+    ("r", False, "an integer", _is_int),
+    ("modulus_poly", False, "null or a list of integers",
+     lambda x: x is None or _is_int_list(x)),
+    ("exponents", True, "a list of integers", _is_int_list),
+)
+
+
+def validate_config(config):
+    """Raise InvalidConfigError, naming the key and the type it expects,
+    unless config is a mapping whose keys have the shape of a space
+    config; the values themselves (primality, irreducibility,
+    coprimality) are checked by the constructors."""
+    if not isinstance(config, dict):
+        raise InvalidConfigError(
+            f"config must be a JSON object, not {type(config).__name__}"
+        )
+    for key, required, expected, ok in _CONFIG_SCHEMA:
+        if key not in config:
+            if required:
+                raise InvalidConfigError(f"config has no {key!r} key, expected {expected}")
+        elif not ok(config[key]):
+            raise InvalidConfigError(
+                f"config key {key!r} must be {expected}, got {config[key]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -194,6 +236,16 @@ class TwistedSpace:
             return next(iter(cids))
         return None
 
+    def class_parts(self, v):
+        """{class index: v restricted to that class's support} for every
+        class that supp(v) meets, in class order; the parts sum to v."""
+        cids = sorted({self._class_of_coord[i] for i in self.support(v)})
+        parts = {}
+        for cid in cids:
+            sup = self.classes[cid].support
+            parts[cid] = tuple(x if i in sup else 0 for i, x in enumerate(v))
+        return parts
+
     def standard_basis(self):
         return tuple(
             tuple(1 if j == i else 0 for j in range(self.n)) for i in range(self.n)
@@ -270,6 +322,9 @@ class TwistedSpace:
 
     @classmethod
     def from_config(cls, config):
+        """The space of a ``{"p", "r", "modulus_poly", "exponents"}``
+        config, its shape checked first by ``validate_config``."""
+        validate_config(config)
         field = Field(config["p"], config.get("r", 1), config.get("modulus_poly"))
         return cls(field, config["exponents"])
 
@@ -423,11 +478,14 @@ def vector_from_json(space, data):
         raise InvalidVectorError(f"{data!r} is not a list of coordinates")
     field = space.field
     coords = []
-    for entry in data:
-        if isinstance(entry, (list, tuple)):
-            entry = field.element(entry)
-        elif field.r != 1 and type(entry) is int:
-            entry = field.element((entry,) + (0,) * (field.r - 1))
+    for i, entry in enumerate(data):
+        try:
+            if isinstance(entry, (list, tuple)):
+                entry = field.element(entry)
+            elif field.r != 1 and type(entry) is int:
+                entry = field.element((entry,) + (0,) * (field.r - 1))
+        except ValueError as exc:
+            raise InvalidVectorError(f"coordinate {i} of {data!r}: {exc}") from None
         coords.append(entry)
     coords = tuple(coords)
     space.check_vector(coords)

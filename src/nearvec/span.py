@@ -12,6 +12,7 @@ from itertools import product
 
 from .errors import (
     HypothesisUnmetError,
+    InvariantError,
     NotABasisError,
     NotInQuasiKernelError,
     TooLargeError,
@@ -206,9 +207,7 @@ def span_of(space, generators):
     parts_by_class = {}
     for g in generators:
         space.check_vector(g)
-        for cid in sorted({space._class_of_coord[i] for i in space.support(g)}):
-            sup = set(space.classes[cid].support)
-            part = tuple(x if i in sup else 0 for i, x in enumerate(g))
+        for cid, part in space.class_parts(g).items():
             parts_by_class.setdefault(cid, []).append(part)
 
     chosen = []
@@ -244,7 +243,7 @@ def span_of(space, generators):
         members = {add(m, x) for m in members for x in multiples}
     expected = space.field.order ** len(chosen)
     if len(members) != expected:
-        raise AssertionError("independent generators produced colliding sums")
+        raise InvariantError("independent generators produced colliding sums")
     return Subspace(space, chosen, chosen_classes, members)
 
 
@@ -298,29 +297,35 @@ def _dim_layers(space):
     return depth, level
 
 
-def dim_of_vector(space, v):
-    """dim(v) computed through the regular components and, independently,
-    by minimal-representation search; the two must agree."""
+def dim_search(space, v):
+    """dim(v) by minimal-representation search over the sumset layers of
+    Q(V)*, with the back-pointer walk as witness: the oracle that
+    ``dim_of_vector`` is checked against."""
     space.check_vector(v)
-    component_dim = len({space._class_of_coord[i] for i in space.support(v)})
     if v == space.zero:
         return DimResult(0, ())
     depth, level = _dim_layers(space)
-    oracle_dim = depth.get(v)
-    if oracle_dim is None:
-        raise AssertionError(f"{v} not reachable from quasi-kernel sums")
-    if oracle_dim != component_dim:
-        raise AssertionError(
-            f"dim mismatch for {v}: components say {component_dim}, "
-            f"search says {oracle_dim}"
-        )
+    if v not in depth:
+        raise InvariantError(f"{v} not reachable from quasi-kernel sums")
     witness = []
     cur = v
     while cur is not None:
-        prev, q = level[cur]
+        cur, q = level[cur]
         witness.append(q)
-        cur = prev
-    return DimResult(component_dim, tuple(reversed(witness)))
+    return DimResult(depth[v], reversed(witness))
+
+
+def dim_of_vector(space, v):
+    """dim(v) in closed form: the number of exponent classes that supp(v)
+    meets, witnessed by v's class parts in ascending order.
+
+    Each part is class-supported, so it lies in Q(V), and every Q(V)
+    vector meets one class, so no fewer terms can sum to v.  The search
+    oracle is ``dim_search``.
+    """
+    space.check_vector(v)
+    parts = sorted(space.class_parts(v).values())
+    return DimResult(len(parts), parts)
 
 
 # -- independence and bases ----------------------------------------------------
@@ -371,7 +376,7 @@ def extract_basis(space, reverse=False):
             basis.append(v)
             members = span_of(space, basis).members
     if len(basis) != space.n or len(members) != space.size:
-        raise AssertionError("greedy basis extraction failed to span the space")
+        raise InvariantError("greedy basis extraction failed to span the space")
     return tuple(basis)
 
 
@@ -437,7 +442,7 @@ class CoordinateMap:
     def to_coords(self, v):
         coords = coordinates_in_independent_set(self.space, self.basis, v)
         if coords is None:
-            raise AssertionError(f"{v} failed to expand over a full basis")
+            raise InvariantError(f"{v} failed to expand over a full basis")
         return coords
 
     def from_coords(self, coords):
@@ -475,9 +480,9 @@ def distinct_span_witness(space):
     w = space.add(space.scalar_mul(theta, b1), b2)
     members = space.quasi_kernel().members
     if v == w or v in members or w in members:
-        raise AssertionError("witness construction produced invalid vectors")
+        raise InvariantError("witness construction produced invalid vectors")
     if span_of(space, [v]).members != span_of(space, [w]).members:
-        raise AssertionError("witness spans differ")
+        raise InvariantError("witness spans differ")
     return v, w
 
 
@@ -506,12 +511,12 @@ def intersecting_span_witness(space):
     w = space.add(b2, b3)
     members = space.quasi_kernel().members
     if v in members or w in members:
-        raise AssertionError("witness construction landed in the quasi-kernel")
+        raise InvariantError("witness construction landed in the quasi-kernel")
     span_v = span_of(space, [v]).members
     span_w = span_of(space, [w]).members
     if v in span_w or w in span_v:
-        raise AssertionError("witness vectors lie in each other's span")
+        raise InvariantError("witness vectors lie in each other's span")
     line_b2 = {space.scalar_mul(a, b2) for a in range(space.field.order)}
     if span_v & span_w != line_b2:
-        raise AssertionError("span intersection is not the shared line")
+        raise InvariantError("span intersection is not the shared line")
     return v, w

@@ -16,6 +16,7 @@ share it.
 
 from .errors import (
     HypothesisUnmetError,
+    InvariantError,
     NotInQuasiKernelError,
     TooLargeError,
     ZeroVectorError,
@@ -77,10 +78,10 @@ def _orbit_sums(space, v):
         col = [w[i] for w in multiples]
         pos = {c: g for g, c in enumerate(col)}
         if len(pos) != order:
-            raise AssertionError(f"scalar action is not fixed point free on {v}")
+            raise InvariantError(f"scalar action is not fixed point free on {v}")
         coords.append((col, pos.__getitem__))
     if not coords:  # the zero vector: every multiple is zero
-        raise AssertionError(f"scalar action is not fixed point free on {v}")
+        raise InvariantError(f"scalar action is not fixed point free on {v}")
     table = []
     for a in range(order):
         rows = [
@@ -655,26 +656,26 @@ def _verify_decomposition(space, deco):
     for comp in deco.components:
         sizes *= len(comp.members)
     if sizes != space.size:
-        raise AssertionError("component sizes do not multiply to |V|")
+        raise InvariantError("component sizes do not multiply to |V|")
     add = space.add
     for v in space.iter_vectors():
         total = space.zero
         for part in deco.split(v):
             total = add(total, part)
         if total != v:
-            raise AssertionError(f"splitting failed to reassemble {v}")
+            raise InvariantError(f"splitting failed to reassemble {v}")
     qk = space.quasi_kernel()
     covered = set()
     for comp in deco.components:
         q_comp = comp.members & qk.members
         if q_comp != comp.members:
-            raise AssertionError("component is not contained in the quasi-kernel")
+            raise InvariantError("component is not contained in the quasi-kernel")
         nz = q_comp - {space.zero}
         if covered & nz:
-            raise AssertionError("quasi-kernel vectors shared between components")
+            raise InvariantError("quasi-kernel vectors shared between components")
         covered |= nz
     if covered != qk.nonzero:
-        raise AssertionError("components do not cover the quasi-kernel")
+        raise InvariantError("components do not cover the quasi-kernel")
 
 
 def maximality_witness(space, component, outsider):

@@ -148,7 +148,8 @@ def keylemma_suite(space, seed=0, max_size=None):
 
 def span_oracle_suite(space, seed=0, max_size=None):
     """span = linear combinations = closure oracle for swept vectors,
-    plus the two dimension routes agreeing."""
+    plus the closed-form dimension agreeing with the search oracle on
+    value and witness."""
     limit = SPAN_SWEEP_LIMIT if max_size is None else min(SPAN_SWEEP_LIMIT, max_size)
     vectors = space.vectors()
     if space.size <= limit:
@@ -176,7 +177,11 @@ def span_oracle_suite(space, seed=0, max_size=None):
         if members != span_mod.subspace_closure_oracle(space, [v]):
             ok_all, witness = False, ("span_vs_closure", v)
             break
-        span_mod.dim_of_vector(space, v)  # raises on route disagreement
+        closed = span_mod.dim_of_vector(space, v)
+        search = span_mod.dim_search(space, v)
+        if (closed.value, closed.witness) != (search.value, search.witness):
+            ok_all, witness = False, ("dim_closed_form_vs_search", v)
+            break
     checks = [_check("span_triple_agreement", ok_all, witness, **mode)]
 
     pair_ok = True

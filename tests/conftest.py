@@ -9,6 +9,9 @@ from nearvec.space import TwistedSpace
 MODULI = {
     (2, 2): (1, 1, 1),     # x^2 + x + 1
     (2, 3): (1, 1, 0, 1),  # x^3 + x + 1
+    (2, 4): (1, 1, 0, 0, 1),  # x^4 + x + 1
+    (3, 3): (1, 2, 0, 1),  # x^3 + 2x + 1
+    (5, 3): (1, 1, 0, 1),  # x^3 + x + 1
     (3, 2): (1, 0, 1),     # x^2 + 1
     (5, 2): (2, 0, 1),     # x^2 + 2
     (7, 2): (1, 0, 1),

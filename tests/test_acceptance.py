@@ -128,8 +128,10 @@ def test_criterion_5_span_triple_agreement():
             members = spn.span_of(space, [v]).members
             assert members == spn.linear_combinations(space, v), v
             assert members == spn.subspace_closure_oracle(space, [v]), v
-            result = spn.dim_of_vector(space, v)  # raises on route mismatch
-            assert len(result.witness) == result.value
+            closed = spn.dim_of_vector(space, v)
+            search = spn.dim_search(space, v)
+            assert (closed.value, closed.witness) == (search.value, search.witness), v
+            assert len(closed.witness) == closed.value
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     _report(5, "span = linear combinations = closure, dim routes agree",

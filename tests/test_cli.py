@@ -1,6 +1,7 @@
 """End-to-end CLI tests: commands, exit codes and JSON output."""
 
 import json
+import time
 
 import pytest
 
@@ -101,6 +102,20 @@ def test_dim_command(write_config, capsys):
     assert code == 0 and report["dim"] == 2
 
 
+def test_dim_is_closed_form_on_a_million_vectors(write_config, capsys):
+    # GF(101)^3 holds 1,030,301 vectors; the sumset search over them took
+    # over 10 s, the class count takes milliseconds
+    config = {"p": 101, "r": 1, "modulus_poly": None, "exponents": [1, 3, 7]}
+    start = time.perf_counter()
+    code, report = run_json(
+        capsys, ["dim", write_config(config), "[5,7,9]", "--json"]
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0 and report["dim"] == 3
+    assert report["witness"] == [[0, 0, 9], [0, 7, 0], [5, 0, 0]]
+    assert elapsed < 1.0, f"took {elapsed:.2f}s"
+
+
 def test_verify_all_passes_on_small_space(write_config, capsys):
     code, report = run_json(
         capsys, ["verify", write_config(SMALL_CONFIG), "--json"]
@@ -188,9 +203,24 @@ def test_missing_file_exits_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"p": 11, "exponents": "13"}, "'exponents' must be a list of integers"),
+    ({"p": "11", "exponents": [1]}, "'p' must be an integer"),
+    ({"exponents": [1]}, "no 'p' key"),
+], ids=["exponents_string", "p_string", "no_p"])
+def test_malformed_config_exits_2_naming_the_key(write_config, capsys, config, message):
+    assert main(["info", write_config(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config") and message in captured.err
+
+
 def test_bad_vector_exits_2(write_config, capsys):
     assert main(["dim", write_config(WORKED_CONFIG), "[1,2]"]) == 2
     capsys.readouterr()
+    gf9 = {"p": 3, "r": 2, "modulus_poly": [1, 0, 1], "exponents": [1, 5]}
+    assert main(["dim", write_config(gf9, "gf9.json"), '[[1,"a"],[0,0]]']) == 2
+    assert "coordinate 0" in capsys.readouterr().err
 
 
 def test_hom_cube_map(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Tests for exact GF(p^r) arithmetic."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,15 @@ def test_make_rejects_reducible_modulus():
 def test_make_rejects_oversized_field():
     with pytest.raises(TooLargeError):
         Field(2, 21, (1, 1) + (0,) * 19 + (1,))
+
+
+@pytest.mark.parametrize("p, r", [(2 ** 61 - 1, 1), (2 ** 89 - 1, 1), (2, 10 ** 6), (3, 13)])
+def test_oversized_field_is_refused_before_any_work(p, r):
+    # a primality scan of 2^61 - 1 alone takes about 10^9 steps
+    start = time.perf_counter()
+    with pytest.raises(TooLargeError):
+        Field(p, r)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_make_requires_monic_modulus():

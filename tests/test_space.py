@@ -6,7 +6,13 @@ from itertools import product
 import pytest
 
 from conftest import get_space
-from nearvec.errors import InvalidVectorError, NotCoprimeError, TooLargeError
+from nearvec.errors import (
+    InvalidConfigError,
+    InvalidVectorError,
+    NearVecError,
+    NotCoprimeError,
+    TooLargeError,
+)
 from nearvec.finite_field import Field
 from nearvec.space import (
     TwistedSpace,
@@ -229,6 +235,28 @@ class TestSerialization:
         assert rebuilt.exponents == space.exponents
         assert rebuilt.field == space.field
 
+    @pytest.mark.parametrize("config, message", [
+        ({"p": 11, "exponents": "13"}, "key 'exponents' must be a list of integers"),
+        ({"p": "11", "exponents": [1]}, "key 'p' must be an integer"),
+        ({"exponents": [1]}, "no 'p' key"),
+        ({"p": 11}, "no 'exponents' key"),
+        ({"p": 11, "r": 1.0, "exponents": [1]}, "key 'r' must be an integer"),
+        ({"p": 11, "exponents": [1, True]}, "key 'exponents' must be a list"),
+        ({"p": 3, "r": 2, "modulus_poly": "101", "exponents": [1]},
+         "key 'modulus_poly' must be null or a list of integers"),
+        ([11, [1]], "must be a JSON object, not list"),
+    ], ids=["exponents_string", "p_string", "no_p", "no_exponents", "r_float",
+            "exponent_bool", "modulus_string", "not_object"])
+    def test_malformed_config_is_rejected(self, config, message):
+        with pytest.raises(InvalidConfigError, match=message) as info:
+            TwistedSpace.from_config(config)
+        assert isinstance(info.value, NearVecError)
+        assert isinstance(info.value, ValueError)
+
+    def test_config_defaults_r_and_modulus(self):
+        space = TwistedSpace.from_config({"p": 5, "exponents": [1, 3]})
+        assert space.field == Field(5) and space.exponents == (1, 3)
+
     def test_vector_json_round_trip_prime_field(self):
         space = get_space(11, 1, (3, 7, 3))
         for v in [(0, 0, 0), (2, 5, 6), (10, 10, 10)]:
@@ -251,6 +279,14 @@ class TestSerialization:
         for bad in ([1, 2], [1, 2, 99], [1, True, 3], [1, 2, "3"], 7):
             with pytest.raises(InvalidVectorError):
                 vector_from_json(space, bad)
+
+    @pytest.mark.parametrize("bad", [
+        [[1, "a"], [0, 0]], [[1, 2, 0], [0, 0]], [[1, 5], [0, 0]], [9, 0], [[1, 1.0], 0],
+    ], ids=["string_coeff", "long_coeffs", "coeff_range", "int_range", "float_coeff"])
+    def test_vector_json_rejects_bad_coefficients(self, bad):
+        space = get_space(3, 2, (1, 5))
+        with pytest.raises(InvalidVectorError, match="coordinate"):
+            vector_from_json(space, bad)
 
     def test_quasi_kernel_report(self):
         qk = get_space(11, 1, (3, 7, 3)).quasi_kernel()

@@ -1,6 +1,10 @@
 """Tests for linear combinations, span, dimension, bases and coordinates."""
 
+from math import gcd
+
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as hst
 
 from conftest import corpus_spaces, get_space
 from nearvec import near_field as nf
@@ -140,6 +144,61 @@ class TestDimension:
         assert spn.dim_of_vector(space, (1, 1, 1)).value == 3
         assert spn.dim_of_vector(space, (1, 1, 0)).value == 2
         assert spn.dim_of_vector(space, (0, 4, 0)).value == 1
+
+
+# fields for the property sweep: characteristic 2, r = 3 and prime fields
+SWEEP_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3),
+                (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (11, 1), (13, 1), (17, 1)]
+SWEEP_MAX_SIZE = 2000
+
+
+@hst.composite
+def spaces_with_vectors(draw):
+    """(p, r, exponents, vectors) for an admissible space of at most
+    SWEEP_MAX_SIZE vectors; an exponent is either a fresh unit exponent
+    or a Frobenius twin q p^l of an earlier one."""
+    p, r = draw(hst.sampled_from(SWEEP_FIELDS))
+    order = p ** r
+    m = order - 1
+    max_n = 1
+    while order ** (max_n + 1) <= SWEEP_MAX_SIZE:
+        max_n += 1
+    n = draw(hst.sampled_from(range(max_n, 0, -1)))
+    units = [q for q in range(1, max(m, 2)) if gcd(q, m) == 1]
+    exponents = []
+    for _ in range(n):
+        if exponents and m > 1 and draw(hst.integers(0, 3)) == 0:
+            base = draw(hst.sampled_from(exponents))
+            exponents.append(base * p ** draw(hst.integers(0, r - 1)) % m)
+        else:
+            exponents.append(draw(hst.sampled_from(units)))
+    vector = hst.tuples(*[hst.integers(0, order - 1)] * n)
+    vectors = draw(hst.lists(vector, min_size=1, max_size=8))
+    return p, r, tuple(exponents), vectors
+
+
+class TestDimensionSweep:
+    @seed(20261018)
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(spaces_with_vectors())
+    @example((2, 2, (1, 2), [(1, 3), (0, 2)]))  # char 2, Frobenius twins
+    @example((2, 3, (1, 3, 6), [(1, 5, 7), (0, 0, 3)]))  # r = 3
+    @example((3, 3, (1, 5), [(4, 20), (0, 26)]))  # r = 3, two classes
+    @example((13, 1, (5,), [(7,), (0,)]))  # n = 1
+    @example((3, 2, (1, 3, 5), [(1, 2, 3), (0, 8, 0)]))  # Frobenius twins
+    def test_closed_form_matches_search(self, drawn):
+        p, r, exponents, vectors = drawn
+        space = get_space(p, r, exponents)
+        qk = space.quasi_kernel().members
+        for v in vectors:
+            closed = spn.dim_of_vector(space, v)
+            search = spn.dim_search(space, v)
+            assert (closed.value, closed.witness) == (search.value, search.witness), v
+            total = space.zero
+            for term in closed.witness:
+                assert term in qk and term != space.zero
+                total = space.add(total, term)
+            assert total == v
 
 
 class TestIndependence:

@@ -218,10 +218,7 @@ class Field:
         t = self._mul_table
         if t is not None:
             return t[a][b]
-        if self.r == 1:
-            return (a * b) % self.p
-        prod = _poly_mul(self.coeffs(a), self.coeffs(b), self.p)
-        return self._from_poly(_poly_mod(prod, self.modulus, self.p))
+        return self._raw_mul(a, b)
 
     def _from_poly(self, poly):
         return sum(c * w for c, w in zip(poly, self._powers))

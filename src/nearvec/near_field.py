@@ -169,6 +169,21 @@ def left_distributivity_failure(add, mul):
     return None
 
 
+def right_distributivity_failure(add, mul):
+    """(a, b, c) for the first (a + b)c != ac + bc, else None."""
+    els = range(len(add))
+    for a in els:
+        adda = add[a]
+        ma = mul[a]
+        for b in els:
+            ms = mul[adda[b]]
+            mb = mul[b]
+            for c in els:
+                if ms[c] != add[ma[c]][mb[c]]:
+                    return (a, b, c)
+    return None
+
+
 def _entry(cx):
     return cx is None, cx
 
@@ -208,15 +223,7 @@ def check_axioms(nf):
 
 def right_distributive_counterexample(nf):
     """A triple (a, b, c) with (a+b)c != ac + bc, or None."""
-    add, mul = nf.add, nf.mul
-    els = range(nf.size)
-    for a in els:
-        for b in els:
-            s = add[a][b]
-            for c in els:
-                if mul[s][c] != add[mul[a][c]][mul[b][c]]:
-                    return (a, b, c)
-    return None
+    return right_distributivity_failure(nf.add, nf.mul)
 
 
 def distributive_elements(nf):

@@ -13,10 +13,12 @@ brute force so the two can certify each other.
 from dataclasses import dataclass
 from itertools import product
 from math import gcd
+from operator import itemgetter
 
 from .errors import (
     InvalidConfigError,
     InvalidVectorError,
+    InvariantError,
     NotCoprimeError,
     TooLargeError,
 )
@@ -389,45 +391,65 @@ def quasi_kernel_closed_form(space):
     return QuasiKernel(space, members, supports)
 
 
+def _orbit_sums(space, v):
+    """Resolve gamma in alpha v + beta v = gamma v for every scalar pair.
+
+    Vector addition is coordinate-wise, so the orbit lookup is done one
+    support coordinate at a time: with col[a] = (a v)_i = psi_i(a) v_i,
+    which fixed-point-freeness makes injective, and pos its inverse,
+    coordinate i resolves gamma = pos[col[a] + col[b]].  The sum
+    a v + b v lies in the orbit exactly when every support coordinate
+    resolves the same gamma.  Returns (table, None) when they all do,
+    else (None, (a, b)) for the first pair in row-major order whose sum
+    leaves the orbit (a and b are then nonzero, since 0 v + b v = b v);
+    rows are resolved in order, so the scan stops at the first row
+    holding such a pair.
+    """
+    field = space.field
+    order = field.order
+    dense = field._add_table
+    add_row = dense.__getitem__ if dense is not None else field._add_row
+    fmul = space._fmul
+    coords = []
+    for i, x in enumerate(v):
+        if not x:
+            continue
+        psi = space._psi[i]
+        if fmul is not None:
+            col = list(map(fmul[x].__getitem__, psi))  # x psi_i(a) = psi_i(a) x
+        else:
+            col = [field.mul(q, x) for q in psi]
+        pos = {c: g for g, c in enumerate(col)}
+        if len(pos) != order:
+            raise InvariantError(f"scalar action is not fixed point free on {v}")
+        coords.append((col, itemgetter(*col), pos.__getitem__))
+    if not coords:  # the zero vector: every multiple is zero
+        raise InvariantError(f"scalar action is not fixed point free on {v}")
+    table = []
+    for a in range(order):
+        rows = [
+            list(map(back, sums(add_row(col[a])))) for col, sums, back in coords
+        ]
+        row = rows[0]
+        if rows.count(row) != len(rows):
+            b = next(b for b in range(order) if any(r[b] != row[b] for r in rows))
+            return None, (a, b)
+        table.append(row)
+    return table, None
+
+
 def quasi_kernel_bruteforce(space):
-    """Q(V) straight from the definition: v is kept iff for all scalars
-    alpha, beta some gamma has alpha v + beta v = gamma v (the gamma scan
-    is the orbit-membership test).  Exponential-cost oracle."""
+    """Q(V) straight from the definition: v is kept iff v = 0 or for all
+    scalars alpha, beta some gamma has alpha v + beta v = gamma v.  The
+    orbit lookup is ``_orbit_sums``, the resolver that also builds the
+    definitional induced additions.  Exponential-cost oracle."""
     if space.size > MAX_SPACE_SIZE:
         raise TooLargeError(f"|V| = {space.size} exceeds {MAX_SPACE_SIZE}")
-    order = space.field.order
-    scalar_mul = space.scalar_mul
-    members = set()
-    fadd = space._fadd
-    n1 = space.n == 1
-    for v in space.iter_vectors():
-        multiples = [scalar_mul(a, v) for a in range(order)]
-        # alpha = 0 or beta = 0 lands on a plain multiple, so units suffice
-        if n1 and fadd is not None:
-            orbit0 = {m[0] for m in multiples}
-            ok = True
-            for i in range(1, order):
-                row = fadd[multiples[i][0]]
-                for j in range(1, order):
-                    if row[multiples[j][0]] not in orbit0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        else:
-            orbit = set(multiples)
-            vadd = space.add
-            ok = True
-            for i in range(1, order):
-                va = multiples[i]
-                for j in range(1, order):
-                    if vadd(va, multiples[j]) not in orbit:
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            members.add(v)
+    zero = space.zero
+    members = {
+        v for v in space.iter_vectors()
+        if v == zero or _orbit_sums(space, v)[1] is None
+    }
     supports = []
     for cls in space.classes:
         sup_set = set(cls.support)

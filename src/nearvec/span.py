@@ -127,6 +127,9 @@ def subspace_closure_oracle(space, generators):
     """
     if space.size > (1 << 21):
         raise TooLargeError("space too large to materialise the closure")
+    generators = list(generators)
+    for g in generators:
+        space.check_vector(g)
     scaled = sorted(
         {space.scalar_mul(a, g) for g in generators for a in range(space.field.order)}
     )
@@ -138,6 +141,8 @@ def subspace_closure_naive(space, generators, limit=512):
     round, so only for small closures, where it cross-checks the
     closure oracle from first principles."""
     closure = set(generators) | {space.zero}
+    for g in closure:
+        space.check_vector(g)
     add = space.add
     scalar_mul = space.scalar_mul
     scalars = range(space.field.order)
@@ -387,6 +392,8 @@ def is_subspace(space, vectors):
         return False
     if len(subset) > (1 << 21):
         raise TooLargeError("subset too large for the closure scan")
+    for v in subset:
+        space.check_vector(v)
     add = space.add
     scalar_mul = space.scalar_mul
     for v in subset:
@@ -447,6 +454,7 @@ class CoordinateMap:
 
     def from_coords(self, coords):
         space = self.space
+        space.check_vector(coords)  # coordinates have the shape of a vector
         total = space.zero
         for a, b in zip(coords, self.basis):
             total = space.add(total, space.scalar_mul(a, b))

@@ -7,11 +7,13 @@ components, and V is their direct sum.
 
 ``decompose`` is the fast route: each component takes its addition from
 the class twist formula (``induced_addition_closed_form``).  Everything
-else here is definitional (orbit scans, exhaustive table comparisons):
-``induced_addition``, ``induced_nearfield``, ``kernel``,
-``maximality_witness`` and ``regularity_equivalences`` build their
-tables from the orbit of v, so they certify the closed form rather than
-share it.
+else here is definitional: ``induced_addition``, ``induced_nearfield``,
+``kernel``, ``maximality_witness`` and ``regularity_equivalences`` build
+their tables from the orbit of v through ``space._orbit_sums``, the
+resolver ``quasi_kernel_bruteforce`` decides membership with, and test
+the division-ring laws with the near-field table scans
+(``left_distributivity_failure``, ``right_distributivity_failure``), so
+they certify the closed form rather than share it.
 """
 
 from .errors import (
@@ -21,9 +23,13 @@ from .errors import (
     TooLargeError,
     ZeroVectorError,
 )
-from .near_field import NearField
+from .near_field import (
+    NearField,
+    left_distributivity_failure,
+    right_distributivity_failure,
+)
 from .report import jsonify
-from .space import vector_to_json
+from .space import _orbit_sums, vector_to_json
 
 
 class InducedAddition:
@@ -51,49 +57,6 @@ def _require_quasi_nonzero(space, v):
         raise ZeroVectorError("the zero vector induces no addition")
     if v not in space.quasi_kernel().members:
         raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
-
-
-def _orbit_sums(space, v):
-    """Resolve gamma in alpha v + beta v = gamma v for every scalar pair.
-
-    Vector addition is coordinate-wise, so the orbit lookup is done one
-    support coordinate at a time: with col[a] = (a v)_i, which
-    fixed-point-freeness makes injective, and pos its inverse, coordinate
-    i resolves gamma = pos[col[a] + col[b]].  The sum a v + b v lies in
-    the orbit exactly when every support coordinate resolves the same
-    gamma.  Returns (table, None) when they all do, else (None, (a, b))
-    for the first pair in row-major order whose sum leaves the orbit (a
-    and b are then nonzero, since 0 v + b v = b v); rows are resolved in
-    order, so the scan stops at the first row holding such a pair.
-    """
-    field = space.field
-    order = field.order
-    multiples = [space.scalar_mul(a, v) for a in range(order)]
-    dense = field._add_table
-    add_row = dense.__getitem__ if dense is not None else field._add_row
-    coords = []
-    for i, x in enumerate(v):
-        if not x:
-            continue
-        col = [w[i] for w in multiples]
-        pos = {c: g for g, c in enumerate(col)}
-        if len(pos) != order:
-            raise InvariantError(f"scalar action is not fixed point free on {v}")
-        coords.append((col, pos.__getitem__))
-    if not coords:  # the zero vector: every multiple is zero
-        raise InvariantError(f"scalar action is not fixed point free on {v}")
-    table = []
-    for a in range(order):
-        rows = [
-            list(map(back, map(add_row(col[a]).__getitem__, col)))
-            for col, back in coords
-        ]
-        row = rows[0]
-        if rows.count(row) != len(rows):
-            b = next(b for b in range(order) if any(r[b] != row[b] for r in rows))
-            return None, (a, b)
-        table.append(row)
-    return table, None
 
 
 def _addition_table(space, v):
@@ -204,8 +167,6 @@ def is_regular(space):
     fails with the same partner, and so is u's first failing partner.
     """
     qstar = space.quasi_kernel().sorted_nonzero()
-    members = space.quasi_kernel().members
-    add = space.add
     scalar_mul = space.scalar_mul
     order = space.field.order
     reps = []
@@ -218,9 +179,7 @@ def is_regular(space):
     for i, u in enumerate(reps):
         for v in reps[i:]:
             checked += 1
-            if not any(
-                add(u, scalar_mul(lam, v)) in members for lam in range(1, order)
-            ):
+            if are_compatible(space, u, v) is None:
                 return RegularityCertificate(False, (u, v), checked)
     return RegularityCertificate(True, None, checked)
 
@@ -337,71 +296,49 @@ class EquivalenceReport:
 
 
 def _division_ring_verdict(space, table):
-    """Both distributive laws on the induced table, exhaustively."""
-    _, mul = space.field.op_tables()
-    els = range(space.field.order)
-    verdict = (True, None)
-    done = False
-    for a in els:
-        mra = mul[a]
-        for b in els:
-            trb = table[b]
-            ab = mra[b]
-            for c in els:
-                if mra[trb[c]] != table[ab][mra[c]]:
-                    verdict = (False, ("left", a, b, c))
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-    if verdict[0]:
-        for a in els:
-            ta = table[a]
-            mra = mul[a]
-            for b in els:
-                s = ta[b]
-                mrb = mul[b]
-                ms = mul[s]
-                for c in els:
-                    if ms[c] != table[mra[c]][mrb[c]]:
-                        verdict = (False, ("right", a, b, c))
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
-                break
-    return verdict
+    """Both distributive laws of (A, table, .), through the near-field
+    scans ``left_distributivity_failure`` and
+    ``right_distributivity_failure``: (True, None), or (False, (side,
+    a, b, c)) for the first failing triple, the left law scanned first."""
+    mul = space.field.op_tables()[1]
+    cx = left_distributivity_failure(table, mul)
+    if cx is not None:
+        return False, ("left", *cx)
+    cx = right_distributivity_failure(table, mul)
+    if cx is not None:
+        return False, ("right", *cx)
+    return True, None
 
 
-def _coordinate_distributes(space, table, i):
-    """Whether coordinate i's twist turns the table into plain addition:
-    psi_i(a +_u b) = psi_i(a) + psi_i(b) for all scalars.  A vector lies
-    in R_u exactly when all its support coordinates pass this (divide
-    the defining identity by the nonzero coordinate value)."""
-    psi = space._psi[i]
+def _module_law_failure(space, table):
+    """The first coordinate i whose twist does not turn the table into
+    plain addition, psi_i(a +_u b) != psi_i(a) + psi_i(b), as (i, (a, b));
+    None when every coordinate passes.  A vector lies in R_u exactly when
+    all its support coordinates pass (divide the defining identity by the
+    nonzero coordinate value), so None means R_u = V."""
     fadd = space.field.op_tables()[0]
     els = range(space.field.order)
-    for a in els:
-        ta = table[a]
-        pa_row = fadd[psi[a]]
-        for b in els:
-            if psi[ta[b]] != pa_row[psi[b]]:
-                return (a, b)
+    for i, psi in enumerate(space._psi):
+        for a in els:
+            ta = table[a]
+            pa_row = fadd[psi[a]]
+            for b in els:
+                if psi[ta[b]] != pa_row[psi[b]]:
+                    return i, (a, b)
     return None
 
 
 def regularity_equivalences(space):
     """Evaluate each characterisation of regular spaces on its own terms
-    and report the verdicts side by side; they must all agree."""
+    and report the verdicts side by side; they must all agree.
+
+    Conditions 5, 1, 2 and 2' read one module-law pass over Q(V)*, and
+    3, 7 and 1' one scan for its first division-ring failure."""
     if space.size > (1 << 21):
         raise TooLargeError("space too large for the equivalence sweep")
     qk = space.quasi_kernel()
     qstar = qk.sorted_nonzero()
-    field = space.field
-    order = field.order
+    order = space.field.order
 
     # equal tables share one object, so the verdict caches below can key
     # on identity and each distinct table is checked once
@@ -415,37 +352,53 @@ def regularity_equivalences(space):
             t = tables[v] = interned.setdefault(tuple(map(tuple, t)), t)
         return t
 
-    distributes = {}
+    def cached(scan):
+        verdicts = {}
 
-    def coordinate_distributes(t, i):
-        key = (id(t), i)
-        if key not in distributes:
-            distributes[key] = _coordinate_distributes(space, t, i)
-        return distributes[key]
+        def verdict(t):
+            key = id(t)
+            if key not in verdicts:
+                verdicts[key] = scan(space, t)
+            return verdicts[key]
 
-    division_ring = {}
+        return verdict
 
-    def division_ring_verdict(t):
-        key = id(t)
-        if key not in division_ring:
-            division_ring[key] = _division_ring_verdict(space, t)
-        return division_ring[key]
+    module_law_failure = cached(_module_law_failure)
+    division_ring_verdict = cached(_division_ring_verdict)
+
+    # V is a vector space over (A, +_v, .) exactly when the action
+    # distributes over +_v on every coordinate (the other module laws
+    # hold ambiently and are certified by the axiom checker), which is
+    # also R_v = V.  One pass finds the first vector of Q(V)* failing
+    # that and the first passing it.
+    module_fail = module_ok = None
+    for v in qstar:
+        bad = module_law_failure(table_of(v))
+        if bad is None:
+            if module_ok is None:
+                module_ok = v
+        elif module_fail is None:
+            module_fail = (v, bad)
+        if module_fail is not None and module_ok is not None:
+            break
+
+    reg = is_regular(space)
+    q_is_v = len(qk.members) == space.size
+    dr_fail = None  # the first vector of Q(V)* whose scalars are no division ring
+    if q_is_v or reg.regular or module_fail is None:
+        for v in qstar:
+            passed, cx = division_ring_verdict(table_of(v))
+            if not passed:
+                dr_fail = (v, cx)
+                break
 
     conditions = {}
     witnesses = {}
 
     # (3) Q(V) = V and every induced scalar structure is a division ring
-    q_is_v = len(qk.members) == space.size
-    wit = None if q_is_v else ("missing", next(
+    conditions["3"] = q_is_v and dr_fail is None
+    witnesses["3"] = dr_fail if q_is_v else ("missing", next(
         v for v in space.iter_vectors() if v not in qk.members))
-    dr_all = True
-    if q_is_v:
-        for v in qstar:
-            ok, cx = division_ring_verdict(table_of(v))
-            if not ok:
-                dr_all, wit = False, (v, cx)
-                break
-    conditions["3"], witnesses["3"] = q_is_v and dr_all, wit
 
     # (4) a single shared addition across Q(V)*
     ok, wit = True, None
@@ -460,21 +413,12 @@ def regularity_equivalences(space):
     conditions["4"], witnesses["4"] = ok, wit
 
     # (5) R_w = V for every w: every coordinate twist must distribute
-    ok, wit = True, None
-    for w in qstar:
-        t = table_of(w)
-        for i in range(space.n):
-            bad = coordinate_distributes(t, i)
-            if bad is not None:
-                e_i = tuple(1 if j == i else 0 for j in range(space.n))
-                ok, wit = False, (w, e_i, bad)
-                break
-        if not ok:
-            break
-    conditions["5"], witnesses["5"] = ok, wit
+    conditions["5"], witnesses["5"] = module_fail is None, None
+    if module_fail is not None:
+        w, (i, bad) = module_fail
+        witnesses["5"] = (w, space.standard_basis()[i], bad)
 
     # (6) regular, and +_v is constant along every scalar orbit of Q(V)*
-    reg = is_regular(space)
     ok, wit = reg.regular, reg.witness
     if ok:
         seen_orbit = {}
@@ -491,56 +435,20 @@ def regularity_equivalences(space):
     conditions["6"], witnesses["6"] = ok, wit
 
     # (7) regular with division-ring scalars
-    ok, wit = reg.regular, reg.witness
-    if ok:
-        for v in qstar:
-            passed, cx = division_ring_verdict(table_of(v))
-            if not passed:
-                ok, wit = False, (v, cx)
-                break
-    conditions["7"], witnesses["7"] = ok, wit
+    conditions["7"] = reg.regular and dr_fail is None
+    witnesses["7"] = dr_fail if reg.regular else reg.witness
 
-    # (1)/(2) and primed: V is a vector space over (A, +_v, .), i.e. the
-    # action distributes over +_v everywhere (the other module laws hold
-    # ambiently and are certified by the axiom checker).
-    def module_law_verdict(v):
-        t = table_of(v)
-        for i in range(space.n):
-            bad = coordinate_distributes(t, i)
-            if bad is not None:
-                return (i, bad)
-        return None
-
-    ok, wit = True, None
-    for v in qstar:
-        bad = module_law_verdict(v)
-        if bad is not None:
-            ok, wit = False, (v, bad)
-            break
-    conditions["1"], witnesses["1"] = ok, wit
-
-    ok, wit = False, None
-    for v in qstar:
-        if module_law_verdict(v) is None:
-            ok, wit = True, v
-            break
-    conditions["2"], witnesses["2"] = ok, wit
-
-    def with_division_ring(base_ok):
-        if not base_ok:
-            return base_ok, None
-        for v in qstar:
-            passed, cx = division_ring_verdict(table_of(v))
-            if not passed:
-                return False, (v, cx)
-        return True, None
-
-    conditions["1'"], witnesses["1'"] = with_division_ring(conditions["1"])
-    ok2 = conditions["2"]
-    if ok2:
-        v2 = witnesses["2"]
-        passed, cx = division_ring_verdict(table_of(v2))
-        conditions["2'"], witnesses["2'"] = passed, (v2 if passed else (v2, cx))
+    # (1)/(2): V is a vector space over (A, +_v, .) for every v of Q(V)*,
+    # or for some v; the primed forms also ask for division-ring scalars
+    conditions["1"], witnesses["1"] = module_fail is None, module_fail
+    conditions["2"], witnesses["2"] = module_ok is not None, module_ok
+    conditions["1'"], witnesses["1'"] = (
+        (dr_fail is None, dr_fail) if module_fail is None else (False, None)
+    )
+    if module_ok is not None:
+        passed, cx = division_ring_verdict(table_of(module_ok))
+        conditions["2'"] = passed
+        witnesses["2'"] = module_ok if passed else (module_ok, cx)
     else:
         conditions["2'"], witnesses["2'"] = False, None
 
@@ -683,6 +591,7 @@ def maximality_witness(space, component, outsider):
     addition: either it has no induced addition at all (a scalar pair
     escapes its orbit) or its definitional table differs from the
     component's closed-form one."""
+    space.check_vector(outsider)
     if outsider in component.members:
         raise ValueError("witness requested for an inside vector")
     order = space.field.order

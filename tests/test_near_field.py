@@ -60,6 +60,16 @@ class TestDickson9:
         rhs = d9.add[d9.mul[a][c]][d9.mul[b][c]]
         assert lhs != rhs
 
+    def test_right_scan_finds_the_first_failing_triple(self):
+        d9 = nf.dickson9()
+        add, mul, els = d9.add, d9.mul, d9.elements()
+        first = next(
+            (a, b, c) for a in els for b in els for c in els
+            if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]
+        )
+        assert nf.right_distributivity_failure(add, mul) == first
+        assert nf.right_distributive_counterexample(d9) == first
+
     def test_distributive_elements_are_the_prime_subfield(self):
         assert nf.distributive_elements(nf.dickson9()) == frozenset({0, 1, 2})
 

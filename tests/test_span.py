@@ -18,6 +18,7 @@ from nearvec.errors import (
     NotInQuasiKernelError,
     TooLargeError,
 )
+from nearvec.space import quasi_kernel_bruteforce, quasi_kernel_closed_form
 
 
 class TestLinearCombinations:
@@ -177,15 +178,25 @@ def spaces_with_vectors(draw):
     return p, r, tuple(exponents), vectors
 
 
+def sweep(test):
+    """Run ``test`` on the seeded draws of ``spaces_with_vectors`` and on
+    a few fixed edge cases."""
+    for decorate in (
+        example((3, 2, (1, 3, 5), [(1, 2, 3), (0, 8, 0)])),  # Frobenius twins
+        example((13, 1, (5,), [(7,), (0,)])),  # n = 1
+        example((3, 3, (1, 5), [(4, 20), (0, 26)])),  # r = 3, two classes
+        example((2, 3, (1, 3, 6), [(1, 5, 7), (0, 0, 3)])),  # r = 3
+        example((2, 2, (1, 2), [(1, 3), (0, 2)])),  # char 2, Frobenius twins
+        given(spaces_with_vectors()),
+        settings(max_examples=300, deadline=None, database=None),
+        seed(20261018),
+    ):
+        test = decorate(test)
+    return test
+
+
 class TestDimensionSweep:
-    @seed(20261018)
-    @settings(max_examples=300, deadline=None, database=None)
-    @given(spaces_with_vectors())
-    @example((2, 2, (1, 2), [(1, 3), (0, 2)]))  # char 2, Frobenius twins
-    @example((2, 3, (1, 3, 6), [(1, 5, 7), (0, 0, 3)]))  # r = 3
-    @example((3, 3, (1, 5), [(4, 20), (0, 26)]))  # r = 3, two classes
-    @example((13, 1, (5,), [(7,), (0,)]))  # n = 1
-    @example((3, 2, (1, 3, 5), [(1, 2, 3), (0, 8, 0)]))  # Frobenius twins
+    @sweep
     def test_closed_form_matches_search(self, drawn):
         p, r, exponents, vectors = drawn
         space = get_space(p, r, exponents)
@@ -199,6 +210,22 @@ class TestDimensionSweep:
                 assert term in qk and term != space.zero
                 total = space.add(total, term)
             assert total == v
+
+
+class TestQuasiKernelSweep:
+    @sweep
+    def test_bruteforce_and_induced_addition_match_closed_form(self, drawn):
+        p, r, exponents, _ = drawn
+        space = get_space(p, r, exponents)
+        brute = quasi_kernel_bruteforce(space)
+        closed = quasi_kernel_closed_form(space)
+        assert brute.members == closed.members
+        assert brute.class_supports == closed.class_supports
+        basis = space.standard_basis()
+        for cls in space.classes:
+            v = basis[cls.support[0]]
+            assert st.induced_addition(space, v) == \
+                st.induced_addition_closed_form(space, v), cls
 
 
 class TestIndependence:
@@ -396,7 +423,17 @@ class TestVectorValidation:
         lambda space: spn.coordinates_in_independent_set(
             space, space.standard_basis(), (0, -1, 0)),
         lambda space: spn.span_of(space, [(1, 2.0, 3)]),
-    ], ids=["out_of_range", "short", "dim_short", "coords_negative", "non_int"])
+        lambda space: spn.subspace_closure_oracle(space, [(99, 0, 0)]),
+        lambda space: spn.linear_combinations(space, (99, 0, 0)),
+        lambda space: spn.subspace_closure_naive(space, [(99, 0, 0)]),
+        lambda space: spn.is_subspace(space, {(0, 0, 0), (99, 0, 0)}),
+        lambda space: st.maximality_witness(
+            space, st.decompose(space).components[0], (99, 0, 0)),
+        lambda space: spn.CoordinateMap(
+            space, space.standard_basis()).from_coords((99, 0, 0)),
+    ], ids=["out_of_range", "short", "dim_short", "coords_negative", "non_int",
+            "closure_oracle", "linear_combinations", "closure_naive",
+            "is_subspace", "maximality_outsider", "from_coords"])
     def test_bad_vector_raises_invalid_vector_error(self, call):
         space = get_space(11, 1, (3, 7, 3))
         with pytest.raises(InvalidVectorError) as info:

@@ -274,6 +274,30 @@ class TestEquivalences:
         payload = report.to_json()
         assert json.loads(json.dumps(payload)) == payload
 
+    def test_witnesses_on_a_two_class_space(self):
+        # 5 and 1 share the first module-law failure, in their two shapes;
+        # 3 and 7 fail before any division-ring scan is needed
+        payload = st.regularity_equivalences(get_space(5, 1, (1, 3))).to_json()
+        assert list(payload["conditions"]) == ["3", "4", "5", "6", "7", "1", "2", "1'", "2'"]
+        assert not any(payload["conditions"].values())
+        assert payload["witnesses"] == {
+            "3": ["missing", [1, 1]],
+            "4": [[0, 1], [1, 0]],
+            "5": [[0, 1], [1, 0], [1, 1]],
+            "6": [[0, 1], [1, 0]],
+            "7": [[0, 1], [1, 0]],
+            "1": [[0, 1], [0, [1, 1]]],
+        }
+
+    def test_division_ring_verdict_tags_the_near_field_scan(self):
+        space = get_space(5, 1, (1,))
+        table = [list(row) for row in space.class_addition_table(0)]
+        assert st._division_ring_verdict(space, table) == (True, None)
+        table[2][3], table[2][4] = table[2][4], table[2][3]
+        cx = nf.left_distributivity_failure(table, space.field.op_tables()[1])
+        assert cx is not None
+        assert st._division_ring_verdict(space, table) == (False, ("left", *cx))
+
 
 class TestDecomposition:
     def test_worked_example_components(self):

@@ -5,6 +5,7 @@ from .errors import (
     DivisionByZeroError,
     HypothesisUnmetError,
     InvalidConfigError,
+    InvalidElementError,
     InvalidMapError,
     InvalidVectorError,
     InvariantError,
@@ -41,6 +42,7 @@ __all__ = [
     "ZeroVectorError",
     "HypothesisUnmetError",
     "InvalidConfigError",
+    "InvalidElementError",
     "InvalidMapError",
     "InvalidVectorError",
     "InvariantError",

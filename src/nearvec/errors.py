@@ -52,6 +52,10 @@ class InvalidVectorError(NearVecError, ValueError):
     element index of the field."""
 
 
+class InvalidElementError(NearVecError, IndexError):
+    """An element index is not an integer in range(|F|)."""
+
+
 class InvalidConfigError(NearVecError, ValueError):
     """A space config is not a JSON object of the expected shape: a key
     is missing or holds a value of the wrong type."""

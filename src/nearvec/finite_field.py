@@ -10,6 +10,7 @@ down), so every enumeration built on top of it is reproducible.
 
 from .errors import (
     DivisionByZeroError,
+    InvalidElementError,
     NonPrimeError,
     ReduciblePolynomialError,
     TooLargeError,
@@ -17,8 +18,10 @@ from .errors import (
 
 MAX_ORDER = 1 << 20
 
-# Dense operation tables are only materialised below this order; above it
-# arithmetic falls back to digit/polynomial computation per call.
+# Table rows are cached, and the dense tables of op_tables built, only up
+# to this order, so a field holds at most two tables of TABLE_LIMIT^2
+# entries; above it a row is built afresh on each read, and single
+# additions and products are computed digit-wise or as polynomials.
 TABLE_LIMIT = 1024
 
 
@@ -141,10 +144,12 @@ class Field:
             self._check_irreducible(mod)
             self.modulus = mod
         self._powers = [p ** i for i in range(r)]
+        # element -> table row, filled on first read up to TABLE_LIMIT
+        self._add_rows = {}
+        self._mul_rows = {}
         self._add_table = None
         self._mul_table = None
         self._neg_table = None
-        self._inv_table = None
         self._generator = None
         self._exp_log = None
 
@@ -226,12 +231,9 @@ class Field:
     def inv(self, a):
         if a == 0:
             raise DivisionByZeroError("0 has no multiplicative inverse")
-        t = self._inv_table
-        if t is not None:
-            inv = t[a]
-            if inv is not None:
-                return inv
-        return self.pow(a, self.mult_order - 1)
+        exp, log = self._log_walk()
+        m = self.mult_order
+        return exp[(m - log[a]) % m]
 
     def pow(self, a, k):
         """a^k with the exponent reduced mod mult_order for nonzero a."""
@@ -256,10 +258,32 @@ class Field:
     def frobenius(self, a):
         return self.pow(a, self.p)
 
-    # -- dense tables -----------------------------------------------------
+    # -- table rows ---------------------------------------------------------
+
+    def add_row(self, a):
+        """[a + b for every element b in index order], cached up to
+        TABLE_LIMIT; InvalidElementError unless a is in range(|F|)."""
+        row = self._add_rows.get(a)
+        return self._new_row(self._add_rows, self._add_row, a) if row is None else row
+
+    def mul_row(self, a):
+        """[a b for every element b in index order], cached up to
+        TABLE_LIMIT; InvalidElementError unless a is in range(|F|)."""
+        row = self._mul_rows.get(a)
+        return self._new_row(self._mul_rows, self._mul_row, a) if row is None else row
+
+    def _new_row(self, rows, build, a):
+        # checked before building, so no row is made up for a non-element
+        if type(a) is not int or not 0 <= a < self.order:
+            raise InvalidElementError(f"row {a!r} is outside range({self.order})")
+        row = build(a)
+        if self.order <= TABLE_LIMIT:
+            rows[a] = row
+        return row
 
     def op_tables(self):
-        """Dense (add, mul) tables; built lazily, only below TABLE_LIMIT."""
+        """Dense (add, mul) tables, lists of the cached rows, completed on
+        the first call; refused above TABLE_LIMIT."""
         if self._add_table is None:
             if self.order > TABLE_LIMIT:
                 raise TooLargeError(
@@ -269,31 +293,9 @@ class Field:
         return self._add_table, self._mul_table
 
     def _build_tables(self):
-        n = self.order
-        # with W = p^(r-1) the weight of the top digit, the row of a + c*W
-        # (a < W) is the row of a rotated left by c*W; only the rows with
-        # top digit 0 go through the row kernel, and the slices share
-        # their int objects
-        top = n // self.p
-        add = [None] * n
-        for a in range(top):
-            row = self._add_row(a)
-            for shift in range(0, n, top):
-                add[a + shift] = row[shift:] + row[:shift]
-        # multiplication through discrete logs of a fixed generator: row a
-        # reads exp[log a + log b], a window of the doubled exp list
-        exp, log = self._log_walk()
-        m = self.mult_order
-        exp2 = exp + exp
-        unit_logs = log[1:]
-        mul = [[0] * n]
-        for a in range(1, n):
-            seg = exp2[log[a]:log[a] + m]
-            mul.append([0] + list(map(seg.__getitem__, unit_logs)))
-        inv = [None] + [exp[(m - log[a]) % m] for a in range(1, n)]
-        self._add_table = add
-        self._mul_table = mul
-        self._inv_table = inv
+        els = range(self.order)
+        self._add_table = list(map(self.add_row, els))
+        self._mul_table = list(map(self.mul_row, els))
 
     def _add_row(self, a):
         """[a + b for every element b in index order], without tables.
@@ -316,6 +318,20 @@ class Field:
                 folded.extend(map(((d % p) * w).__add__, row))
             row = folded
         return row
+
+    def _mul_row(self, a):
+        """[a b for every element b in index order], without tables.
+
+        Through discrete logs of a fixed generator, a b = exp[log a +
+        log b] for units: the unit entries read the exp list rotated left
+        by log a, at the logs of b.
+        """
+        if not a:
+            return [0] * self.order
+        exp, log = self._log_walk()
+        k = log[a]
+        window = exp[k:] + exp[:k]
+        return [0] + list(map(window.__getitem__, log[1:]))
 
     def _raw_mul(self, a, b):
         if self.r == 1:

@@ -122,13 +122,14 @@ class TwistedSpace:
             for i in cls.support:
                 self._class_of_coord[i] = cls.index
         self.zero = (0,) * self.n
+        # add and scalar_mul read the field's row caches, which it fills up
+        # to TABLE_LIMIT; above it they compute each entry
         if field.order <= TABLE_LIMIT:
-            add_t, mul_t = field.op_tables()
-            self._fadd, self._fmul = add_t, mul_t
+            self._fadd, self._fmul = field._add_rows, field._mul_rows
         else:
             self._fadd = self._fmul = None
-        # per-coordinate twist tables, shared between equal exponents; built
-        # after the dense tables, which make every power a few lookups
+        # per-coordinate twist tables, shared between equal exponents; each
+        # reads the field's cached discrete-log walk
         pow_tables = {}
         for q in self.exponents:
             if q not in pow_tables:
@@ -188,7 +189,11 @@ class TwistedSpace:
     def add(self, v, w):
         fadd = self._fadd
         if fadd is not None:
-            return tuple(fadd[a][b] for a, b in zip(v, w))
+            try:
+                return tuple(fadd[a][b] for a, b in zip(v, w))
+            except KeyError:  # a row not read before; add_row caches it
+                add_row = self.field.add_row
+                return tuple(add_row(a)[b] for a, b in zip(v, w))
         f = self.field
         return tuple(f.add(a, b) for a, b in zip(v, w))
 
@@ -201,10 +206,25 @@ class TwistedSpace:
 
     def scalar_mul(self, alpha, v):
         fmul = self._fmul
-        if fmul is not None:
-            return tuple(fmul[p[alpha]][x] for p, x in zip(self._psi, v))
+        if fmul is not None:  # the row of x, as in multiples
+            try:
+                return tuple(fmul[x][p[alpha]] for p, x in zip(self._psi, v))
+            except KeyError:  # a row not read before; mul_row caches it
+                mul_row = self.field.mul_row
+                return tuple(mul_row(x)[p[alpha]] for p, x in zip(self._psi, v))
         f = self.field
         return tuple(f.mul(p[alpha], x) for p, x in zip(self._psi, v))
+
+    def multiples(self, v):
+        """[alpha . v for every scalar alpha in index order].
+
+        Column i is the multiplication row of v_i read through psi_i, as
+        (alpha v)_i = v_i psi_i(alpha): one field row per coordinate.
+        """
+        mul_row = self.field.mul_row
+        return list(zip(*(
+            map(mul_row(x).__getitem__, psi) for psi, x in zip(self._psi, v)
+        )))
 
     def check_vector(self, v):
         """Raise InvalidVectorError unless v has n integer coordinates,
@@ -264,28 +284,32 @@ class TwistedSpace:
 
     # -- induced-addition plumbing -----------------------------------------
 
+    def check_class_table_bound(self):
+        """Raise TooLargeError when a class addition table, |F|^2
+        entries, would exceed the CLASS_TABLE_LIMIT field order."""
+        order = self.field.order
+        if order > CLASS_TABLE_LIMIT:
+            raise TooLargeError(
+                f"class addition table of {order * order} entries refused "
+                f"for field order {order} > {CLASS_TABLE_LIMIT}"
+            )
+
     def class_addition_table(self, cid):
         """Scalar addition induced by any quasi-kernel vector of the class:
         a, b combine through the class twist q as (a^q + b^q)^(1/q).
 
-        Row a is back . (field add row of a^q) . fwd; it reads the dense
-        field table when one exists and builds the field row otherwise.
+        Row a is back . (field add row of a^q) . fwd, built and cached on
+        the first call; refused above CLASS_TABLE_LIMIT.
         """
         table = self._class_add_tables.get(cid)
         if table is None:
+            self.check_class_table_bound()
             field = self.field
-            order = field.order
-            if order > CLASS_TABLE_LIMIT:
-                raise TooLargeError(
-                    f"class addition table of {order * order} entries refused "
-                    f"for field order {order} > {CLASS_TABLE_LIMIT}"
-                )
             q = self.classes[cid].exponent
             m = field.mult_order
             fwd = field.pow_table(q)
             back = field.pow_table(pow(q, -1, m) if m > 1 else 1)
-            dense = field._add_table
-            add_row = dense.__getitem__ if dense is not None else field._add_row
+            add_row = field.add_row
             back_of = back.__getitem__
             table = [
                 list(map(back_of, map(add_row(fa).__getitem__, fwd))) for fa in fwd
@@ -395,9 +419,10 @@ def _orbit_sums(space, v):
     """Resolve gamma in alpha v + beta v = gamma v for every scalar pair.
 
     Vector addition is coordinate-wise, so the orbit lookup is done one
-    support coordinate at a time: with col[a] = (a v)_i = psi_i(a) v_i,
-    which fixed-point-freeness makes injective, and pos its inverse,
-    coordinate i resolves gamma = pos[col[a] + col[b]].  The sum
+    support coordinate at a time: with col column i of ``multiples(v)``,
+    col[a] = (a v)_i = psi_i(a) v_i, which fixed-point-freeness makes
+    injective, and pos its inverse, coordinate i resolves
+    gamma = pos[col[a] + col[b]].  The sum
     a v + b v lies in the orbit exactly when every support coordinate
     resolves the same gamma.  Returns (table, None) when they all do,
     else (None, (a, b)) for the first pair in row-major order whose sum
@@ -405,20 +430,12 @@ def _orbit_sums(space, v):
     rows are resolved in order, so the scan stops at the first row
     holding such a pair.
     """
-    field = space.field
-    order = field.order
-    dense = field._add_table
-    add_row = dense.__getitem__ if dense is not None else field._add_row
-    fmul = space._fmul
+    order = space.field.order
+    add_row = space.field.add_row
     coords = []
-    for i, x in enumerate(v):
+    for x, col in zip(v, zip(*space.multiples(v))):
         if not x:
             continue
-        psi = space._psi[i]
-        if fmul is not None:
-            col = list(map(fmul[x].__getitem__, psi))  # x psi_i(a) = psi_i(a) x
-        else:
-            col = [field.mul(q, x) for q in psi]
         pos = {c: g for g, c in enumerate(col)}
         if len(pos) != order:
             raise InvariantError(f"scalar action is not fixed point free on {v}")
@@ -465,6 +482,9 @@ def additive_closure(space, generators):
     Grows a known subgroup one cyclic factor at a time; exact and much
     cheaper than pairwise-sum fixed-point iteration on these sizes.
     """
+    generators = list(generators)
+    for g in generators:
+        space.check_vector(g)
     return _additive_closure(space.add, space.zero, generators, space.size)
 
 

@@ -31,15 +31,25 @@ def _tau(space, v, cid):
 
 
 class _InducedFieldOps:
-    """The induced field K = (A, +_class, *) with enough ops for Gauss."""
+    """The induced field K = (A, +_class, *) with enough ops for Gauss.
+
+    ``mul(a)`` is the field's multiplication row of a.  The class
+    addition table is read only to eliminate a second row, so a single
+    row per class needs no |F|^2 table and works above TABLE_LIMIT.
+    """
 
     def __init__(self, space, cid):
-        self.add = space.class_addition_table(cid)
+        self._space = space
+        self._cid = cid
         # the closed form (-(a^q))^(1/q) is plain field negation: q is
         # coprime to p^r - 1, hence odd for odd p, and -a = a for p = 2
         self.neg = space.field.neg_table()
-        self.mul = space.field.op_tables()[1]
+        self.mul = space.field.mul_row
         self.inv = space.field.inv
+
+    @property
+    def add(self):
+        return self._space.class_addition_table(self._cid)
 
 
 def _solve(kops, columns, target):
@@ -51,7 +61,7 @@ def _solve(kops, columns, target):
     npos = len(target)
     k = len(columns)
     rows = [[columns[j][pos] for j in range(k)] + [target[pos]] for pos in range(npos)]
-    kadd, kneg, fmul, finv = kops.add, kops.neg, kops.mul, kops.inv
+    kneg, fmul, finv = kops.neg, kops.mul, kops.inv
     pivot_row_of = {}
     r = 0
     for j in range(k):
@@ -59,12 +69,11 @@ def _solve(kops, columns, target):
         if pivot is None:
             raise NotABasisError("dependent columns in coordinate solve")
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = finv(rows[r][j])
-        rows[r] = [fmul[scale][x] for x in rows[r]]
+        rows[r] = list(map(fmul(finv(rows[r][j])).__getitem__, rows[r]))
         for i in range(npos):
             if i != r and rows[i][j] != 0:
-                factor = kneg[rows[i][j]]
-                scaled = [fmul[factor][x] for x in rows[r]]
+                scaled = map(fmul(kneg[rows[i][j]]).__getitem__, rows[r])
+                kadd = kops.add
                 rows[i] = [kadd[a][b] for a, b in zip(rows[i], scaled)]
         pivot_row_of[j] = r
         r += 1
@@ -130,9 +139,7 @@ def subspace_closure_oracle(space, generators):
     generators = list(generators)
     for g in generators:
         space.check_vector(g)
-    scaled = sorted(
-        {space.scalar_mul(a, g) for g in generators for a in range(space.field.order)}
-    )
+    scaled = sorted({w for g in generators for w in space.multiples(g)})
     return frozenset(additive_closure(space, scaled))
 
 
@@ -219,32 +226,28 @@ def span_of(space, generators):
     chosen_classes = []
     for cid in sorted(parts_by_class):
         kops = _InducedFieldOps(space, cid)
-        kadd, kneg, fmul, finv = kops.add, kops.neg, kops.mul, kops.inv
+        kneg, fmul, finv = kops.neg, kops.mul, kops.inv
         echelon = []  # reduced tau-rows with their pivot positions
         for part in parts_by_class[cid]:
             row = list(_tau(space, part, cid))
             for pivot_pos, pivot_row in echelon:
                 c = row[pivot_pos]
                 if c != 0:
-                    factor = kneg[c]
-                    row = [
-                        kadd[a][fmul[factor][b]] for a, b in zip(row, pivot_row)
-                    ]
+                    scaled = map(fmul(kneg[c]).__getitem__, pivot_row)
+                    kadd = kops.add
+                    row = [kadd[a][b] for a, b in zip(row, scaled)]
             pivot_pos = next((i for i, x in enumerate(row) if x != 0), None)
             if pivot_pos is None:
                 continue
-            scale = finv(row[pivot_pos])
-            row = [fmul[scale][x] for x in row]
+            row = list(map(fmul(finv(row[pivot_pos])).__getitem__, row))
             echelon.append((pivot_pos, row))
             chosen.append(part)
             chosen_classes.append(cid)
 
     members = {space.zero}
     add = space.add
-    scalar_mul = space.scalar_mul
-    scalars = range(space.field.order)
     for w in chosen:
-        multiples = [scalar_mul(a, w) for a in scalars]
+        multiples = space.multiples(w)
         members = {add(m, x) for m in members for x in multiples}
     expected = space.field.order ** len(chosen)
     if len(members) != expected:

@@ -33,13 +33,23 @@ from .space import _orbit_sums, vector_to_json
 
 
 class InducedAddition:
-    """The scalar addition defined by a v + b v = (a +_v b) v."""
+    """The scalar addition defined by a v + b v = (a +_v b) v.
 
-    def __init__(self, space, base_vector, class_id, table):
+    ``table=None`` stands for the class table of ``class_id``, which the
+    ``table`` property builds on first read.
+    """
+
+    def __init__(self, space, base_vector, class_id, table=None):
         self.space = space
         self.base_vector = base_vector
         self.class_id = class_id
-        self.table = table
+        self._table = table
+
+    @property
+    def table(self):
+        if self._table is None:
+            self._table = self.space.class_addition_table(self.class_id)
+        return self._table
 
     def key(self):
         """Hashable table identity, for grouping additions."""
@@ -77,10 +87,12 @@ def induced_addition(space, v):
 
 def induced_addition_closed_form(space, v):
     """The same table through the class twist formula
-    a +_v b = (a^q + b^q)^(1/q); the definitional route must agree."""
+    a +_v b = (a^q + b^q)^(1/q), built when first read; the
+    definitional route must agree.  A field above CLASS_TABLE_LIMIT is
+    refused here, before anything reads the table."""
     _require_quasi_nonzero(space, v)
-    cid = space.class_of(v)
-    return InducedAddition(space, v, cid, space.class_addition_table(cid))
+    space.check_class_table_bound()
+    return InducedAddition(space, v, space.class_of(v))
 
 
 def induced_nearfield(space, v):
@@ -102,11 +114,10 @@ def kernel(space, u):
     _require_quasi_nonzero(space, u)
     table = _addition_table(space, u)
     order = space.field.order
-    scalar_mul = space.scalar_mul
     add = space.add
     members = set()
     for v in space.iter_vectors():
-        multiples = [scalar_mul(a, v) for a in range(order)]
+        multiples = space.multiples(v)
         ok = True
         for a in range(1, order):
             va = multiples[a]
@@ -126,11 +137,15 @@ def are_compatible(space, u, v):
     """The first unit lambda with u + lambda v in Q(V), or None."""
     _require_quasi_nonzero(space, u)
     _require_quasi_nonzero(space, v)
+    return _first_compatible(space, u, space.multiples(v))
+
+
+def _first_compatible(space, u, multiples):
+    """The first unit lambda with u + multiples[lambda] in Q(V), or None."""
     members = space.quasi_kernel().members
     add = space.add
-    scalar_mul = space.scalar_mul
-    for lam in range(1, space.field.order):
-        if add(u, scalar_mul(lam, v)) in members:
+    for lam in range(1, len(multiples)):
+        if add(u, multiples[lam]) in members:
             return lam
     return None
 
@@ -167,19 +182,18 @@ def is_regular(space):
     fails with the same partner, and so is u's first failing partner.
     """
     qstar = space.quasi_kernel().sorted_nonzero()
-    scalar_mul = space.scalar_mul
-    order = space.field.order
-    reps = []
+    reps = []  # (v, multiples of v)
     seen = set()
     for v in qstar:
         if v not in seen:
-            reps.append(v)
-            seen.update(scalar_mul(a, v) for a in range(1, order))
+            multiples = space.multiples(v)
+            reps.append((v, multiples))
+            seen.update(multiples)
     checked = 0
-    for i, u in enumerate(reps):
-        for v in reps[i:]:
+    for i, (u, _) in enumerate(reps):
+        for v, multiples in reps[i:]:
             checked += 1
-            if are_compatible(space, u, v) is None:
+            if _first_compatible(space, u, multiples) is None:
                 return RegularityCertificate(False, (u, v), checked)
     return RegularityCertificate(True, None, checked)
 
@@ -338,7 +352,6 @@ def regularity_equivalences(space):
         raise TooLargeError("space too large for the equivalence sweep")
     qk = space.quasi_kernel()
     qstar = qk.sorted_nonzero()
-    order = space.field.order
 
     # equal tables share one object, so the verdict caches below can key
     # on identity and each distinct table is checked once
@@ -422,9 +435,8 @@ def regularity_equivalences(space):
     ok, wit = reg.regular, reg.witness
     if ok:
         seen_orbit = {}
-        scalar_mul = space.scalar_mul
         for v in qstar:
-            rep = min(scalar_mul(a, v) for a in range(1, order))
+            rep = min(space.multiples(v)[1:])
             t = table_of(v)
             prev = seen_orbit.get(rep)
             if prev is None:
@@ -495,6 +507,10 @@ class Decomposition:
 
     def split(self, v):
         """The unique component parts summing to v."""
+        self.space.check_vector(v)
+        return self._split(v)
+
+    def _split(self, v):
         parts = []
         for comp in self.components:
             sup = set(comp.support)
@@ -503,6 +519,7 @@ class Decomposition:
 
     def component_of(self, v):
         """The component containing v, or None for mixed-support vectors."""
+        self.space.check_vector(v)
         cid = self.space.class_of(v)
         if cid is None:
             return None
@@ -568,7 +585,7 @@ def _verify_decomposition(space, deco):
     add = space.add
     for v in space.iter_vectors():
         total = space.zero
-        for part in deco.split(v):
+        for part in deco._split(v):
             total = add(total, part)
         if total != v:
             raise InvariantError(f"splitting failed to reassemble {v}")

@@ -91,6 +91,16 @@ def test_span_command(write_config, capsys):
     assert sorted(report["generators"]) == [[0, 5, 0], [2, 0, 6]]
 
 
+def test_span_command_above_the_dense_table_limit(write_config, capsys):
+    # GF(1031) is above TABLE_LIMIT; span reads field rows, no dense table
+    config = {"p": 1031, "r": 1, "modulus_poly": None, "exponents": [7]}
+    code, report = run_json(
+        capsys, ["span", write_config(config), "[5]", "--json"]
+    )
+    assert code == 0
+    assert report["dim"] == 1 and report["member_count"] == 1031
+
+
 def test_dim_command(write_config, capsys):
     code, report = run_json(
         capsys, ["dim", write_config(WORKED_CONFIG), "[0,0,0]", "--json"]

@@ -10,6 +10,7 @@ from hypothesis import strategies as hst
 from conftest import CORPUS, MODULI, get_field
 from nearvec.errors import (
     DivisionByZeroError,
+    InvalidElementError,
     NonPrimeError,
     ReduciblePolynomialError,
     TooLargeError,
@@ -229,3 +230,41 @@ def test_add_row_above_table_limit_matches_digit_add():
     assert f.order > TABLE_LIMIT
     for a in random.Random(7).sample(range(f.order), 6) + [0, f.order - 1]:
         assert f._add_row(a) == [_digit_add(f, a, b) for b in range(f.order)]
+
+
+@pytest.mark.parametrize("key", [(2, 11, (1, 0, 1) + (0,) * 8 + (1,)), (1031, 1, None)],
+                         ids=str)
+def test_inv_reads_the_log_walk(key):
+    f = Field(*key)  # fresh: no dense table, so inv is exp[-log a]
+    assert f._mul_table is None
+    for a in f.units():
+        assert f._raw_mul(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("key", [(13, 1, None), (3, 2, (1, 0, 1)), (1031, 1, None)],
+                         ids=str)
+def test_rows_are_cached_up_to_the_table_limit(key):
+    f = Field(*key)
+    for a in (0, 1, f.order - 1):
+        assert f.add_row(a) == [f.add(a, b) for b in f.elements()]
+        assert f.mul_row(a) == [f._raw_mul(a, b) for b in f.elements()]
+    if f.order > TABLE_LIMIT:
+        assert f._add_rows == {} and f._mul_rows == {}
+        with pytest.raises(TooLargeError):
+            f.op_tables()
+    else:
+        assert f.add_row(1) is f.add_row(1)
+        add, mul = f.op_tables()
+        # the dense tables are lists of the cached rows, not copies
+        assert add[1] is f.add_row(1) and mul[1] is f.mul_row(1)
+        assert len(add) == len(mul) == f.order
+
+
+@pytest.mark.parametrize("a", [-1, 13, 100, 1.0, None], ids=repr)
+@pytest.mark.parametrize("row", ["add_row", "mul_row"])
+def test_row_outside_the_field_raises(row, a):
+    f = Field(13)
+    with pytest.raises(InvalidElementError) as info:
+        getattr(f, row)(a)
+    assert isinstance(info.value, IndexError)
+    assert f._add_rows == {} and f._mul_rows == {}

@@ -1,5 +1,7 @@
 """Tests for linear combinations, span, dimension, bases and coordinates."""
 
+import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -18,7 +20,13 @@ from nearvec.errors import (
     NotInQuasiKernelError,
     TooLargeError,
 )
-from nearvec.space import quasi_kernel_bruteforce, quasi_kernel_closed_form
+from nearvec.finite_field import TABLE_LIMIT, Field
+from nearvec.space import (
+    TwistedSpace,
+    additive_closure,
+    quasi_kernel_bruteforce,
+    quasi_kernel_closed_form,
+)
 
 
 class TestLinearCombinations:
@@ -431,12 +439,73 @@ class TestVectorValidation:
             space, st.decompose(space).components[0], (99, 0, 0)),
         lambda space: spn.CoordinateMap(
             space, space.standard_basis()).from_coords((99, 0, 0)),
+        lambda space: additive_closure(space, [(99, 0, 0)]),
+        lambda space: st.decompose(space).component_of((99, 0, 0)),
+        lambda space: st.decompose(space).split((99, 0, 0)),
     ], ids=["out_of_range", "short", "dim_short", "coords_negative", "non_int",
             "closure_oracle", "linear_combinations", "closure_naive",
-            "is_subspace", "maximality_outsider", "from_coords"])
+            "is_subspace", "maximality_outsider", "from_coords",
+            "additive_closure", "component_of", "split"])
     def test_bad_vector_raises_invalid_vector_error(self, call):
         space = get_space(11, 1, (3, 7, 3))
         with pytest.raises(InvalidVectorError) as info:
             call(space)
         assert isinstance(info.value, ValueError)
         assert isinstance(info.value, NearVecError)
+
+
+ABOVE_TABLE_LIMIT = [
+    (Field(1031), 7),
+    (Field(2053), 5),
+    (Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,)), 3),
+]
+
+
+class TestAboveTableLimit:
+    """Span, dim and coordinates read field rows, so no dense table of
+    |F|^2 entries stands between them and fields above TABLE_LIMIT."""
+
+    @pytest.fixture(params=ABOVE_TABLE_LIMIT, ids=lambda key: repr(key[0]))
+    def space(self, request):
+        field, q = request.param
+        assert field.order > TABLE_LIMIT
+        return TwistedSpace(field, (q,))
+
+    @staticmethod
+    def seeded_vectors(space):
+        rng = random.Random(space.field.order)
+        return [(rng.randrange(1, space.field.order),) for _ in range(3)]
+
+    def test_span_matches_closure_oracle(self, space):
+        for v in self.seeded_vectors(space):
+            sub = spn.span_of(space, [v])
+            assert sub.dim == 1 and len(sub.members) == space.field.order
+            assert sub.members == spn.subspace_closure_oracle(space, [v])
+
+    def test_dim_is_one(self, space):
+        for v in self.seeded_vectors(space):
+            assert spn.dim_of_vector(space, v).value == 1
+
+    def test_coordinates_round_trip(self, space):
+        cmap = spn.CoordinateMap(space, space.standard_basis())
+        for v in self.seeded_vectors(space) + [space.zero]:
+            assert cmap.from_coords(cmap.to_coords(v)) == v
+
+
+def test_field_scale_session_builds_no_dense_table():
+    # construct, quasi-kernel, decompose and three spans over GF(1021),
+    # below TABLE_LIMIT: before rows were built on first read this built
+    # three tables of |F|^2 entries and peaked near 25 MB
+    tracemalloc.start()
+    try:
+        space = TwistedSpace(Field(1021), (7,))
+        space.quasi_kernel()
+        st.decompose(space)
+        for x in (3, 500, 1020):
+            spn.span_of(space, [(x,)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert space.field._add_table is None and space.field._mul_table is None
+    assert space._class_add_tables == {}
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"

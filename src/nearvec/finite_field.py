@@ -206,11 +206,18 @@ class Field:
         return out
 
     def neg_table(self):
+        """[-x for every element x], built once and cached.
+
+        Negation is digit-wise, -x = (-c0, ..., -c_{r-1}) mod p: the
+        prime-field table [0, p-1, ..., 1] for the lowest digit, each
+        higher digit folded in as an outer block.
+        """
         if self._neg_table is None:
-            self._neg_table = [
-                self.element(tuple((-c) % self.p for c in self.coeffs(x)))
-                for x in range(self.order)
-            ]
+            digit = [0] + list(range(self.p - 1, 0, -1))
+            table = digit
+            for w in self._powers[1:]:
+                table = [d * w + x for d in digit for x in table]
+            self._neg_table = table
         return self._neg_table
 
     def neg(self, a):
@@ -358,18 +365,64 @@ class Field:
     def _log_walk(self):
         """(exp, log) of the smallest generator g: exp[i] = g^i for
         i < |F*| and log[exp[i]] = i, with log[0] = None; walked once
-        through polynomial products and cached."""
+        through ``_times`` and cached."""
         if self._exp_log is None:
-            g = self.generator()
             m = self.mult_order
+            times_g = self._times(self.generator())
             exp = [1] * max(m, 1)
+            x = 1
             for i in range(1, m):
-                exp[i] = self._raw_mul(exp[i - 1], g)
+                x = exp[i] = times_g(x)
             log = [None] * self.order
             for i, e in enumerate(exp):
                 log[e] = i
             self._exp_log = (exp, log)
         return self._exp_log
+
+    def _times(self, g):
+        """The map a -> a g, in O(r) digit steps per product.
+
+        It is Z_p-linear: a g = sum_j c_j (g x^j) for a = sum_j c_j x^j,
+        read from the r images g x^j taken once as polynomial products.
+        In characteristic 2 that sum is the XOR of the images over a's
+        set bits.  Otherwise the images are packed k bits per digit,
+        2^k > r (p - 1), so that the r scaled images add as integers
+        with no digit carrying into the next, and each digit of the sum
+        is then reduced mod p.
+        """
+        p, r = self.p, self.r
+        if r == 1:
+            return lambda a: a * g % p
+        images = [self._raw_mul(g, w) for w in self._powers]
+        if p == 2:
+            def times_g(a):
+                out = 0
+                for image in images:
+                    if a & 1:
+                        out ^= image
+                    a >>= 1
+                return out
+            return times_g
+        k = (r * (p - 1)).bit_length()
+        mask = (1 << k) - 1
+        shifts = range(0, k * r, k)
+        # scaled[j][c] = c (g x^j), its digits reduced mod p, packed
+        scaled = [
+            [
+                sum(c * d % p << s for d, s in zip(self.coeffs(image), shifts))
+                for c in range(p)
+            ]
+            for image in images
+        ]
+        weighted = list(zip(shifts, self._powers))
+
+        def times_g(a):
+            total = 0
+            for row in scaled:
+                a, c = divmod(a, p)
+                total += row[c]
+            return sum((total >> s & mask) % p * w for s, w in weighted)
+        return times_g
 
     def pow_table(self, k):
         """[x^k for every element x], used for twist actions downstream.

@@ -8,6 +8,8 @@ annihilates on both sides.  Everything is checked by brute force; the
 carriers are tiny, so an O(n^3) certifying scan is the honest tool.
 """
 
+from operator import itemgetter
+
 from .errors import ConstructionFailedError, TooLargeError
 from .finite_field import Field
 from .report import CheckReport
@@ -91,9 +93,24 @@ def from_field(field):
 # -- table-law scans -----------------------------------------------------------
 #
 # Each scan walks a dense table over {0, ..., n-1} in row-major order and
-# returns the first failing tuple, or None when the law holds.  Rows are
-# hoisted out of the inner loops; every table-law check in the package
-# runs through these.
+# returns the first failing tuple, or None when the law holds.  The cubic
+# laws compare whole rows at once, each side read through
+# ``operator.itemgetter``; only the first failing row is then walked cell
+# by cell for the witness.  Every table-law check in the package runs
+# through these.
+
+
+def row_getter(row):
+    """itemgetter(*row), which reads a sequence at the entries of row,
+    returning a tuple also for a row of one entry or none."""
+    if len(row) > 1:
+        return itemgetter(*row)
+    return lambda seq: tuple(seq[x] for x in row)
+
+
+def first_mismatch(left, right):
+    """The first index where two equal-length rows differ."""
+    return next(i for i, (x, y) in enumerate(zip(left, right)) if x != y)
 
 
 def closure_failure(table):
@@ -109,15 +126,15 @@ def closure_failure(table):
 
 
 def associativity_failure(t):
-    els = range(len(t))
-    for a in els:
-        ta = t[a]
-        for b in els:
-            row = t[ta[b]]
-            tb = t[b]
-            for c in els:
-                if row[c] != ta[tb[c]]:
-                    return (a, b, c)
+    """(a, b, c) for the first (ab)c != a(bc): row ab of t against
+    row a read at the entries of row b."""
+    rows = list(map(tuple, t))
+    get = list(map(row_getter, t))
+    for a, ta in enumerate(t):
+        for b, ab in enumerate(ta):
+            left, right = rows[ab], get[b](ta)
+            if left != right:
+                return (a, b, first_mismatch(left, right))
     return None
 
 
@@ -156,31 +173,39 @@ def inverse_failure(t, e, two_sided=False, skip=None):
 
 
 def left_distributivity_failure(add, mul):
-    """(a, b, c) for the first a(b + c) != ab + ac, else None."""
-    els = range(len(add))
-    for a in els:
-        ma = mul[a]
-        for b in els:
-            row = add[ma[b]]
-            addb = add[b]
-            for c in els:
-                if ma[addb[c]] != row[ma[c]]:
-                    return (a, b, c)
+    """(a, b, c) for the first a(b + c) != ab + ac, else None: row a of
+    mul read at row b of add, against row ab of add read at row a of
+    mul."""
+    add_get = list(map(row_getter, add))
+    mul_get = list(map(row_getter, mul))
+    for a, ma in enumerate(mul):
+        times_a = mul_get[a]
+        for b, ab in enumerate(ma):
+            left, right = add_get[b](ma), times_a(add[ab])
+            if left != right:
+                return (a, b, first_mismatch(left, right))
     return None
 
 
 def right_distributivity_failure(add, mul):
-    """(a, b, c) for the first (a + b)c != ac + bc, else None."""
+    """(a, b, c) for the first (a + b)c != ac + bc, else None.
+
+    With a and c fixed both sides run over b: column c of mul read at
+    row a of add, against row ac of add read at column c.  The first
+    failing a is that of the row-major scan, whose first failing (b, c)
+    is then found cell by cell.
+    """
+    cols = list(zip(*mul))
+    add_get = list(map(row_getter, add))
+    col_get = list(map(row_getter, cols))
     els = range(len(add))
-    for a in els:
-        adda = add[a]
-        ma = mul[a]
-        for b in els:
-            ms = mul[adda[b]]
-            mb = mul[b]
-            for c in els:
-                if ms[c] != add[ma[c]][mb[c]]:
-                    return (a, b, c)
+    for a, ma in enumerate(mul):
+        plus_a = add_get[a]
+        if any(plus_a(cols[c]) != col_get[c](add[ac]) for c, ac in enumerate(ma)):
+            return next(
+                (a, b, c) for b in els for c in els
+                if mul[add[a][b]][c] != add[ma[c]][mul[b][c]]
+            )
     return None
 
 

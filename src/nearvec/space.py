@@ -11,7 +11,7 @@ brute force so the two can certify each other.
 """
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from math import gcd
 from operator import itemgetter
 
@@ -27,9 +27,11 @@ from .near_field import (
     associativity_failure,
     closure_failure,
     commutativity_failure,
+    first_mismatch,
     identity_failure,
     inverse_failure,
     left_distributivity_failure,
+    row_getter,
 )
 from .report import CheckReport
 
@@ -214,6 +216,26 @@ class TwistedSpace:
                 return tuple(mul_row(x)[p[alpha]] for p, x in zip(self._psi, v))
         f = self.field
         return tuple(f.mul(p[alpha], x) for p, x in zip(self._psi, v))
+
+    def sumset(self, A, B):
+        """{a + b for a in A for b in B}.
+
+        Column-wise, as in ``multiples``: coordinate i of a + B is the
+        field's add row of a_i read at column i of B, taken once for each
+        distinct a_i, and the coordinates of all the sums are zipped
+        together.  Above TABLE_LIMIT, where rows are not cached, each sum
+        is computed as in ``add``.
+        """
+        B = list(B)
+        if self._fadd is None:
+            fadd = self.field.add
+            return {tuple(map(fadd, a, b)) for a in A for b in B}
+        add_row = self.field.add_row
+        columns = []
+        for read_b, col in zip(map(row_getter, zip(*B)), zip(*A)):
+            sums = {x: read_b(add_row(x)) for x in set(col)}
+            columns.append(chain.from_iterable(map(sums.__getitem__, col)))
+        return set(zip(*columns))
 
     def multiples(self, v):
         """[alpha . v for every scalar alpha in index order].
@@ -421,36 +443,36 @@ def _orbit_sums(space, v):
     Vector addition is coordinate-wise, so the orbit lookup is done one
     support coordinate at a time: with col column i of ``multiples(v)``,
     col[a] = (a v)_i = psi_i(a) v_i, which fixed-point-freeness makes
-    injective, and pos its inverse, coordinate i resolves
-    gamma = pos[col[a] + col[b]].  The sum
-    a v + b v lies in the orbit exactly when every support coordinate
-    resolves the same gamma.  Returns (table, None) when they all do,
-    else (None, (a, b)) for the first pair in row-major order whose sum
-    leaves the orbit (a and b are then nonzero, since 0 v + b v = b v);
-    rows are resolved in order, so the scan stops at the first row
-    holding such a pair.
+    injective.  Row a of raw sums col[a] + col[b] is the field's add row
+    of col[a] read at col.  Only the first support coordinate resolves
+    its sums, gamma = pos[col[a] + col[b]] with pos the inverse of col;
+    the sum a v + b v lies in the orbit exactly when every further
+    coordinate's raw sum is col[gamma], col being injective.  Returns
+    (table, None) when every pair's sum does, else (None, (a, b)) for
+    the first pair in row-major order whose sum leaves the orbit (a and
+    b are then nonzero, since 0 v + b v = b v); rows are resolved in
+    order, so the scan stops at the first row holding such a pair.
     """
     order = space.field.order
     add_row = space.field.add_row
-    coords = []
-    for x, col in zip(v, zip(*space.multiples(v))):
-        if not x:
-            continue
-        pos = {c: g for g, c in enumerate(col)}
-        if len(pos) != order:
-            raise InvariantError(f"scalar action is not fixed point free on {v}")
-        coords.append((col, itemgetter(*col), pos.__getitem__))
-    if not coords:  # the zero vector: every multiple is zero
+    cols = [col for x, col in zip(v, zip(*space.multiples(v))) if x]
+    if not cols or any(len(set(col)) != order for col in cols):
+        # the zero vector, whose multiples are all zero, or a twist that
+        # is not injective
         raise InvariantError(f"scalar action is not fixed point free on {v}")
+    back = {c: g for g, c in enumerate(cols[0])}.__getitem__
+    raw_rows = zip(*[map(itemgetter(*col), map(add_row, col)) for col in cols])
+    rest = cols[1:]
     table = []
-    for a in range(order):
-        rows = [
-            list(map(back, sums(add_row(col[a])))) for col, sums, back in coords
-        ]
-        row = rows[0]
-        if rows.count(row) != len(rows):
-            b = next(b for b in range(order) if any(r[b] != row[b] for r in rows))
-            return None, (a, b)
+    for a, (sums, *more) in enumerate(raw_rows):
+        row = list(map(back, sums))
+        if rest:
+            at_row = itemgetter(*row)
+            escapes = [
+                first_mismatch(s, t) for s, t in zip(more, map(at_row, rest)) if s != t
+            ]
+            if escapes:
+                return None, (a, min(escapes))
         table.append(row)
     return table, None
 
@@ -485,11 +507,14 @@ def additive_closure(space, generators):
     generators = list(generators)
     for g in generators:
         space.check_vector(g)
-    return _additive_closure(space.add, space.zero, generators, space.size)
+    return _additive_closure(
+        space.add, space.sumset, space.zero, generators, space.size
+    )
 
 
-def _additive_closure(add, zero, generators, cap):
-    # ``cap`` bounds each cyclic factor, so a broken table whose powers
+def _additive_closure(add, sumset, zero, generators, cap):
+    # ``add`` walks each cyclic factor, which ``sumset`` then adds to the
+    # closure; ``cap`` bounds the walk, so a broken table whose powers
     # never return to zero still terminates
     closure = {zero}
     for g in generators:
@@ -500,8 +525,17 @@ def _additive_closure(add, zero, generators, cap):
         while x != zero and len(cyclic) <= cap:
             cyclic.append(x)
             x = add(x, g)
-        closure = {add(h, m) for h in closure for m in cyclic} | closure
+        closure |= sumset(closure, cyclic)
     return closure
+
+
+def _row_sumset(add):
+    """The sumset of an integer carrier with addition table ``add``:
+    row a read at B for each a."""
+    def sumset(A, B):
+        read_b = row_getter(B)
+        return set(chain.from_iterable(map(read_b, map(add.__getitem__, A))))
+    return sumset
 
 
 # -- vector (de)serialisation ---------------------------------------------
@@ -786,7 +820,9 @@ def check_axioms_raw(add_table, endos):
         orbit = {m[x] for m in maps}
         if all(add[f[x]][g[x]] in orbit for f in maps for g in maps):
             quasi.append(x)
-    closure = _additive_closure(lambda x, y: add[x][y], identity, quasi, n)
+    closure = _additive_closure(
+        lambda x, y: add[x][y], _row_sumset(add), identity, quasi, n
+    )
     ok = len(closure) == n
     entries["5_quasi_kernel_generates"] = (
         ok,

@@ -245,10 +245,8 @@ def span_of(space, generators):
             chosen_classes.append(cid)
 
     members = {space.zero}
-    add = space.add
     for w in chosen:
-        multiples = space.multiples(w)
-        members = {add(m, x) for m in members for x in multiples}
+        members = space.sumset(members, space.multiples(w))
     expected = space.field.order ** len(chosen)
     if len(members) != expected:
         raise InvariantError("independent generators produced colliding sums")

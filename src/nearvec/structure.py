@@ -25,8 +25,10 @@ from .errors import (
 )
 from .near_field import (
     NearField,
+    first_mismatch,
     left_distributivity_failure,
     right_distributivity_failure,
+    row_getter,
 )
 from .report import jsonify
 from .space import _orbit_sums, vector_to_json
@@ -329,16 +331,18 @@ def _module_law_failure(space, table):
     plain addition, psi_i(a +_u b) != psi_i(a) + psi_i(b), as (i, (a, b));
     None when every coordinate passes.  A vector lies in R_u exactly when
     all its support coordinates pass (divide the defining identity by the
-    nonzero coordinate value), so None means R_u = V."""
+    nonzero coordinate value), so None means R_u = V.
+
+    Each (i, a) compares one row over b: psi_i read at row a of the
+    table, against the field's add row of psi_i(a) read at psi_i."""
     fadd = space.field.op_tables()[0]
-    els = range(space.field.order)
+    table_get = list(map(row_getter, table))
     for i, psi in enumerate(space._psi):
-        for a in els:
-            ta = table[a]
-            pa_row = fadd[psi[a]]
-            for b in els:
-                if psi[ta[b]] != pa_row[psi[b]]:
-                    return i, (a, b)
+        twist = row_getter(psi)
+        for a, pa in enumerate(psi):
+            left, right = table_get[a](psi), twist(fadd[pa])
+            if left != right:
+                return i, (a, first_mismatch(left, right))
     return None
 
 

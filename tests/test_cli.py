@@ -2,6 +2,7 @@
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
@@ -137,6 +138,29 @@ def test_verify_all_passes_on_small_space(write_config, capsys):
         "axioms", "vstheorem", "keylemma", "span-oracle",
         "decomposition", "quasi-kernel-oracle",
     }
+
+
+GOLDEN_VERIFY = Path(__file__).with_name("verify_worked_example_seed7.json")
+
+
+def _without_elapsed(report):
+    if isinstance(report, dict):
+        return {k: _without_elapsed(v) for k, v in report.items() if k != "elapsed_s"}
+    if isinstance(report, list):
+        return [_without_elapsed(v) for v in report]
+    return report
+
+
+def test_verify_all_matches_golden_snapshot(write_config, capsys):
+    # every witness, sample size and seed of the full suite on the worked
+    # example, byte for byte; only the timings are left out
+    code, report = run_json(
+        capsys,
+        ["verify", write_config(WORKED_CONFIG), "--suite", "all", "--json", "--seed", "7"],
+    )
+    assert code == 0
+    text = json.dumps(_without_elapsed(report), indent=2, sort_keys=True) + "\n"
+    assert text == GOLDEN_VERIFY.read_text()
 
 
 def test_verify_single_suite(write_config, capsys):

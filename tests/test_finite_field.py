@@ -268,3 +268,31 @@ def test_row_outside_the_field_raises(row, a):
         getattr(f, row)(a)
     assert isinstance(info.value, IndexError)
     assert f._add_rows == {} and f._mul_rows == {}
+
+
+# every field of the shared corpus, plus GF(2^10), GF(2^11) and GF(3^7)
+LOG_WALK_FIELDS = sorted(
+    {(p, r, MODULI.get((p, r))) for p, r in MODULI}
+    | {(p, r, MODULI.get((p, r))) for p, r, _ in CORPUS}
+) + [
+    (2, 10, (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1)),
+    (2, 11, (1, 0, 1) + (0,) * 8 + (1,)),
+    (3, 7, (2, 0, 1, 0, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("key", LOG_WALK_FIELDS, ids=str)
+def test_log_walk_and_negation_match_polynomial_references(key):
+    f = Field(*key)
+    g = f.generator()
+    # g^i as successive polynomial products, and -x coefficient by coefficient
+    exp = [1]
+    for _ in range(2, f.order):
+        exp.append(f._raw_mul(exp[-1], g))
+    log = [None] * f.order
+    for i, e in enumerate(exp):
+        log[e] = i
+    assert f._log_walk() == (exp, log)
+    assert f.neg_table() == [
+        f.element(tuple(-c % f.p for c in f.coeffs(x))) for x in f.elements()
+    ]

@@ -1,6 +1,7 @@
 """Tests for near-field structures and the exhaustive axiom checker."""
 
 import json
+import random
 
 import pytest
 
@@ -149,3 +150,86 @@ def test_unique_order_two_element_in_odd_characteristic():
             x != structure.one and structure.mul[x][x] == structure.one
             for x in structure.nonzero()
         )
+
+
+# -- row-wise scans against cell-by-cell references ---------------------------
+#
+# The scans compare whole rows and walk cells only inside the first failing
+# row; these references walk every cell in row-major order, so both must
+# name the same first failing triple.
+
+
+def _triples(n):
+    return ((a, b, c) for a in range(n) for b in range(n) for c in range(n))
+
+
+def associativity_reference(t):
+    return next(
+        ((a, b, c) for a, b, c in _triples(len(t)) if t[t[a][b]][c] != t[a][t[b][c]]),
+        None,
+    )
+
+
+def left_distributivity_reference(add, mul):
+    return next(
+        ((a, b, c) for a, b, c in _triples(len(add))
+         if mul[a][add[b][c]] != add[mul[a][b]][mul[a][c]]),
+        None,
+    )
+
+
+def right_distributivity_reference(add, mul):
+    return next(
+        ((a, b, c) for a, b, c in _triples(len(add))
+         if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]),
+        None,
+    )
+
+
+def _scan_structures():
+    for key in ((2, 1), (3, 1), (2, 3), (11, 1), (11, 2)):
+        field = get_field(*key)
+        yield pytest.param(*field.op_tables(), id=repr(field))
+    d9 = nf.dickson9()
+    yield pytest.param(d9.add, d9.mul, id="dickson9")
+    yield pytest.param([[0]], [[0]], id="size1")
+
+
+def _single_cell_corruptions(add, mul, rng, count):
+    """(index of the changed table, add, mul): copies with one cell of one
+    table changed, every such change for tables of at most three
+    elements, else ``count`` seeded ones."""
+    n = len(add)
+    cells = [(which, a, b, x) for which in (0, 1) for a in range(n) for b in range(n)
+             for x in range(n) if x != (add, mul)[which][a][b]]
+    if n > 3:
+        cells = rng.sample(cells, count)
+    for which, a, b, x in cells:
+        tables = [[list(row) for row in add], [list(row) for row in mul]]
+        tables[which][a][b] = x
+        yield which, *tables
+
+
+@pytest.mark.parametrize("add, mul", _scan_structures())
+def test_row_scans_match_cell_references_under_corruption(add, mul):
+    n = len(add)
+    rng = random.Random(n)
+    # a full reference scan of GF(121) walks 1.8 million cells, so there
+    # only the corrupted table is checked for associativity
+    variants = [] if n > 64 else [(None, add, mul)]
+    variants += _single_cell_corruptions(add, mul, rng, 4 if n > 64 else 24)
+    for which, add_t, mul_t in variants:
+        for index, t in enumerate((add_t, mul_t)):
+            if n <= 64 or index == which:
+                assert nf.associativity_failure(t) == associativity_reference(t)
+        assert nf.left_distributivity_failure(add_t, mul_t) == (
+            left_distributivity_reference(add_t, mul_t))
+        assert nf.right_distributivity_failure(add_t, mul_t) == (
+            right_distributivity_reference(add_t, mul_t))
+
+
+def test_row_getter_returns_tuples_for_every_row_length():
+    seq = [10, 11, 12]
+    assert nf.row_getter([])(seq) == ()
+    assert nf.row_getter([2])(seq) == (12,)
+    assert nf.row_getter([2, 0])(seq) == (12, 10)

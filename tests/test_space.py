@@ -1,11 +1,13 @@
 """Tests for twisted spaces, the quasi-kernel and the axiom checker."""
 
 import json
+import random
 from itertools import product
 
 import pytest
 
 from conftest import get_space
+from nearvec import near_field as nf
 from nearvec.errors import (
     InvalidConfigError,
     InvalidVectorError,
@@ -13,7 +15,7 @@ from nearvec.errors import (
     NotCoprimeError,
     TooLargeError,
 )
-from nearvec.finite_field import Field
+from nearvec.finite_field import TABLE_LIMIT, Field
 from nearvec.space import (
     TwistedSpace,
     additive_closure,
@@ -86,6 +88,54 @@ class TestArithmetic:
         vecs = space.vectors()
         assert vecs[:6] == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)]
         assert vecs == sorted(vecs)
+
+
+SUMSET_BELOW_LIMIT = [(2, 1, (1,)), (2, 3, (1, 3)), (3, 2, (1, 5)), (11, 1, (3, 7, 3))]
+SUMSET_ABOVE_LIMIT = [
+    (Field(1031), (7,)),
+    (Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,)), (3,)),
+]
+
+
+class TestSumset:
+    """``sumset`` against the pairwise sums of ``add``."""
+
+    @staticmethod
+    def seeded_sets(space, rng):
+        vectors = [tuple(rng.randrange(space.field.order) for _ in range(space.n))
+                   for _ in range(40)]
+        sizes = (0, 1, 2, 7, 40)
+        return [(vectors[:i], vectors[-j:] if j else []) for i in sizes for j in sizes]
+
+    def check(self, space):
+        rng = random.Random(space.field.order)
+        for A, B in self.seeded_sets(space, rng):
+            expected = {space.add(a, b) for a in A for b in B}
+            assert space.sumset(set(A), B) == expected
+            assert space.sumset(A, iter(B)) == expected
+
+    @pytest.mark.parametrize("key", SUMSET_BELOW_LIMIT, ids=str)
+    def test_matches_pairwise_sums_below_table_limit(self, key):
+        self.check(get_space(*key))
+
+    @pytest.mark.parametrize("field, exponents", SUMSET_ABOVE_LIMIT, ids=repr)
+    def test_matches_pairwise_sums_above_table_limit(self, field, exponents, monkeypatch):
+        assert field.order > TABLE_LIMIT
+        space = TwistedSpace(field, exponents)
+
+        def no_rows(a):
+            raise AssertionError("a short sumset built an O(|F|) field row")
+
+        # add and sumset compute each sum there; neither may build a row
+        monkeypatch.setattr(field, "_add_row", no_rows)
+        self.check(space)
+
+    def test_additive_closure_is_the_generated_subgroup(self):
+        space = get_space(3, 2, (1, 5))
+        gens = [(1, 0), (0, 4)]
+        closure = additive_closure(space, gens)
+        assert len(closure) == 9
+        assert space.sumset(closure, closure) == closure
 
 
 class TestQuasiKernel:
@@ -221,6 +271,67 @@ class TestAxioms:
     def test_raw_out_of_range_entries_are_rejected(self, table, endos, where):
         with pytest.raises(ValueError, match=where):
             check_axioms_raw(table, endos)
+
+    # the failing entries of each raw case, pinned; every other entry passes
+    RAW_REPORTS = {
+        "field7_self_action": {},
+        "z3": {},
+        "dickson9": {},
+        "positive_cone": {
+            "2_zero_id_negid": ["missing_neg_id"],
+            "5_quasi_kernel_generates": ["quasi_kernel", [0], "generated_count", 1],
+        },
+        "corrupted_z3": {
+            "1_additive_group": ["no_inverse", 1],
+            "2_zero_id_negid": ["missing_neg_id"],
+            "3_units_act_as_automorphisms": ["not_additive", 2, 1, 2],
+        },
+        "truncated_z3_z9": {
+            "5_quasi_kernel_generates": [
+                "quasi_kernel", [0, 3, 6, 9, 12, 15, 18, 21, 24], "generated_count", 9],
+        },
+        "nonassociative_z5": {
+            "1_additive_group": ["not_associative", 1, 1, 2],
+            "3_units_act_as_automorphisms": ["not_additive", 2, 1, 1],
+            "5_quasi_kernel_generates": ["quasi_kernel", [0], "generated_count", 1],
+        },
+        "trivial": {"3_units_act_as_automorphisms": ["identity_missing_from_units"]},
+    }
+
+    @staticmethod
+    def raw_cases():
+        f7 = Field(7)
+        add7, mul7 = f7.op_tables()
+        yield "field7_self_action", add7, [tuple(mul7[a]) for a in range(7)]
+        yield "positive_cone", add7, [tuple(mul7[a]) for a in (0, 1, 2, 4)]
+        units3 = [(0, 0, 0), (0, 1, 2), (0, 2, 1)]
+        yield "z3", Z3, units3
+        bad = [list(row) for row in Z3]
+        bad[1][2] = bad[2][1] = 1
+        yield "corrupted_z3", bad, units3
+        d9 = nf.dickson9()
+        yield "dickson9", [list(r) for r in d9.add], [tuple(r) for r in d9.mul]
+        els = list(product(range(3), range(9)))
+        idx = {e: i for i, e in enumerate(els)}
+        add = [[idx[((a + c) % 3, (b + d) % 9)] for (c, d) in els] for (a, b) in els]
+        yield "truncated_z3_z9", add, [
+            tuple(idx[(0, 0)] for _ in els),
+            tuple(range(len(els))),
+            tuple(idx[((-a) % 3, (-b) % 9)] for (a, b) in els),
+        ]
+        z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+        z5[1][1] = 3
+        yield "nonassociative_z5", z5, [(0,) * 5, tuple(range(5)), (0, 4, 3, 2, 1)]
+        yield "trivial", [[0]], [(0,)]
+
+    def test_raw_reports_are_unchanged(self):
+        cases = list(self.raw_cases())
+        assert {name for name, _, _ in cases} == set(self.RAW_REPORTS)
+        for name, add, endos in cases:
+            report = check_axioms_raw(add, endos).to_json()
+            failing = {k: e["counterexample"] for k, e in report.items() if not e["pass"]}
+            assert failing == self.RAW_REPORTS[name], name
+            assert all(e["counterexample"] is None for e in report.values() if e["pass"])
 
     def test_raw_size_bound(self):
         with pytest.raises(TooLargeError):

@@ -298,6 +298,35 @@ class TestEquivalences:
         assert cx is not None
         assert st._division_ring_verdict(space, table) == (False, ("left", *cx))
 
+    @staticmethod
+    def module_law_reference(space, table):
+        # every cell in (i, a, b) order; the scan compares whole rows
+        fadd = space.field.op_tables()[0]
+        els = range(space.field.order)
+        return next(
+            ((i, (a, b)) for i, psi in enumerate(space._psi) for a in els for b in els
+             if psi[table[a][b]] != fadd[psi[a]][psi[b]]),
+            None,
+        )
+
+    @pytest.mark.parametrize("key", [
+        (2, 1, (1,)), (3, 1, (1,)), (2, 3, (1, 3)), (11, 1, (3, 7, 3)), (11, 2, (7,)),
+    ], ids=str)
+    def test_module_law_scan_matches_cell_reference_under_corruption(self, key):
+        space = get_space(*key)
+        order = space.field.order
+        rng = random.Random(order)
+        for cls in space.classes:
+            clean = space.class_addition_table(cls.index)
+            assert st._module_law_failure(space, clean) == (
+                self.module_law_reference(space, clean))
+            for _ in range(12):
+                table = [list(row) for row in clean]
+                a, b = rng.randrange(order), rng.randrange(order)
+                table[a][b] = rng.choice([x for x in range(order) if x != table[a][b]])
+                assert st._module_law_failure(space, table) == (
+                    self.module_law_reference(space, table))
+
 
 class TestDecomposition:
     def test_worked_example_components(self):

@@ -7,6 +7,7 @@ from .errors import (
     InvalidConfigError,
     InvalidElementError,
     InvalidMapError,
+    InvalidSlotError,
     InvalidVectorError,
     InvariantError,
     NearVecError,
@@ -44,6 +45,7 @@ __all__ = [
     "InvalidConfigError",
     "InvalidElementError",
     "InvalidMapError",
+    "InvalidSlotError",
     "InvalidVectorError",
     "InvariantError",
     "NotABasisError",

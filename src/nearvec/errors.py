@@ -56,6 +56,10 @@ class InvalidElementError(NearVecError, IndexError):
     """An element index is not an integer in range(|F|)."""
 
 
+class InvalidSlotError(NearVecError, IndexError):
+    """A basis slot is not an integer in range(n)."""
+
+
 class InvalidConfigError(NearVecError, ValueError):
     """A space config is not a JSON object of the expected shape: a key
     is missing or holds a value of the wrong type."""

@@ -209,6 +209,17 @@ def right_distributivity_failure(add, mul):
     return None
 
 
+def homomorphism_failure(f, src, dst):
+    """(a, b) for the first f(a src b) != f(a) dst f(b), else None: f
+    read at row a of src, against row f(a) of dst read at f."""
+    at_f = row_getter(f)
+    for a, row in enumerate(src):
+        left, right = row_getter(row)(f), at_f(dst[f[a]])
+        if left != right:
+            return (a, first_mismatch(left, right))
+    return None
+
+
 def _entry(cx):
     return cx is None, cx
 

@@ -28,6 +28,7 @@ from .near_field import (
     closure_failure,
     commutativity_failure,
     first_mismatch,
+    homomorphism_failure,
     identity_failure,
     inverse_failure,
     left_distributivity_failure,
@@ -141,6 +142,10 @@ class TwistedSpace:
         self._vectors = None
         self._quasi_kernel = None
         self._class_add_tables = {}
+        # structure._addition_table's memo: vector -> definitional +_v
+        # table, equal tables interned through their tuple form
+        self._addition_tables = {}
+        self._interned_addition_tables = {}
         self._inv_pow_tables = {}
 
     @staticmethod
@@ -645,22 +650,14 @@ def check_axioms(space):
     if not laws["scalar_distributes"][0]:
         ok, cx = False, ("not_additive", laws["scalar_distributes"][1])
     else:
-        for i in range(space.n):
-            psi = space._psi[i]
+        mul = field.op_tables()[1]
+        for i, psi in enumerate(space._psi):
             if len(set(psi)) != field.order:
                 ok, cx = False, ("not_bijective", i)
                 break
-            done = False
-            for a in range(field.order):
-                pa = psi[a]
-                for b in range(field.order):
-                    if psi[field.mul(a, b)] != field.mul(pa, psi[b]):
-                        ok, cx = False, ("not_multiplicative", i, a, b)
-                        done = True
-                        break
-                if done:
-                    break
-            if done:
+            bad = homomorphism_failure(psi, mul, mul)
+            if bad is not None:
+                ok, cx = False, ("not_multiplicative", i, *bad)
                 break
     entries["3_units_act_as_automorphisms"] = (ok, cx)
 
@@ -770,10 +767,7 @@ def check_axioms_raw(add_table, endos):
         if len(set(m)) != n:
             ok, cx = False, ("not_bijective", maps.index(m))
             break
-        bad = next(
-            ((a, b) for a in els for b in els if m[add[a][b]] != add[m[a]][m[b]]),
-            None,
-        )
+        bad = homomorphism_failure(m, add, add)
         if bad is not None:
             ok, cx = False, ("not_additive", maps.index(m), *bad)
             break

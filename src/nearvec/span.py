@@ -12,6 +12,7 @@ from itertools import product
 
 from .errors import (
     HypothesisUnmetError,
+    InvalidSlotError,
     InvariantError,
     NotABasisError,
     NotInQuasiKernelError,
@@ -462,7 +463,10 @@ class CoordinateMap:
         return total
 
     def addition_table(self, slot):
-        """The induced addition acting on coordinate ``slot``."""
+        """The induced addition acting on coordinate ``slot``;
+        InvalidSlotError unless slot is in range(n)."""
+        if type(slot) is not int or not 0 <= slot < self.space.n:
+            raise InvalidSlotError(f"slot {slot!r} is outside range({self.space.n})")
         return self.space.class_addition_table(
             self.space.class_of(self.basis[slot])
         )

@@ -8,12 +8,19 @@ components, and V is their direct sum.
 ``decompose`` is the fast route: each component takes its addition from
 the class twist formula (``induced_addition_closed_form``).  Everything
 else here is definitional: ``induced_addition``, ``induced_nearfield``,
-``kernel``, ``maximality_witness`` and ``regularity_equivalences`` build
-their tables from the orbit of v through ``space._orbit_sums``, the
-resolver ``quasi_kernel_bruteforce`` decides membership with, and test
-the division-ring laws with the near-field table scans
+``kernel``, ``maximality_witness``, ``regularity_equivalences`` and the
+key lemma check ``verify_shared_addition`` build their tables from the
+orbit of v through ``space._orbit_sums``, the resolver
+``quasi_kernel_bruteforce`` decides membership with, and test the
+division-ring laws with the near-field table scans
 (``left_distributivity_failure``, ``right_distributivity_failure``), so
 they certify the closed form rather than share it.
+
+``_addition_table`` is the one cache of these definitional tables: a memo
+on the space, kept as long as the space, that resolves each vector's
+orbit once and interns equal tables so they share one list.  Like
+``class_addition_table``'s tables they are shared, so callers must not
+mutate them.
 """
 
 from .errors import (
@@ -26,9 +33,9 @@ from .errors import (
 from .near_field import (
     NearField,
     first_mismatch,
+    homomorphism_failure,
     left_distributivity_failure,
     right_distributivity_failure,
-    row_getter,
 )
 from .report import jsonify
 from .space import _orbit_sums, vector_to_json
@@ -73,10 +80,19 @@ def _require_quasi_nonzero(space, v):
 
 def _addition_table(space, v):
     """The definitional +_v table from the orbit of v (``_orbit_sums``);
-    NotInQuasiKernelError when a scalar pair's sum leaves the orbit."""
-    table, escape = _orbit_sums(space, v)
-    if escape is not None:
-        raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
+    NotInQuasiKernelError when a scalar pair's sum leaves the orbit.
+
+    Memoised on the space for its lifetime, keyed by vector, with equal
+    tables interned: two vectors share +_v exactly when their tables are
+    the same object.  The table is shared, so it must not be mutated."""
+    table = space._addition_tables.get(v)
+    if table is None:
+        table, escape = _orbit_sums(space, v)
+        if escape is not None:
+            raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
+        interned = space._interned_addition_tables
+        table = interned.setdefault(tuple(map(tuple, table)), table)
+        space._addition_tables[v] = table
     return table
 
 
@@ -241,40 +257,30 @@ def verify_shared_addition(space, basis, v, v_prime):
     if theta is None or theta_p is None:
         raise HypothesisUnmetError("vector does not expand over the given basis")
 
-    tables = {}
-
-    def table_of(w):
-        if w not in tables:
-            tables[w] = _addition_table(space, w)
-        return tables[w]
-
-    pair = None
-    for i0, t in enumerate(theta):
-        if t == 0:
-            continue
-        for j0, tp in enumerate(theta_p):
-            if tp == 0 or i0 == j0:
-                continue
-            left = table_of(space.scalar_mul(t, basis[i0]))
-            right = table_of(space.scalar_mul(tp, basis[j0]))
-            if left == right:
-                pair = (i0, j0)
-                break
-        if pair:
-            break
-    if pair is None:
+    if not any(
+        _addition_table(space, space.scalar_mul(t, basis[i0]))
+        is _addition_table(space, space.scalar_mul(tp, basis[j0]))
+        for i0, t in enumerate(theta) if t
+        for j0, tp in enumerate(theta_p) if tp and i0 != j0
+    ):
         raise HypothesisUnmetError(
             "no pair of distinct slots with matching induced additions"
         )
+    return (
+        _addition_table(space, v) is _addition_table(space, v_prime)
+        and _slot_additions_agree(space, basis, v, theta)
+        and _slot_additions_agree(space, basis, v_prime, theta_p)
+    )
 
-    reference = table_of(v)
-    if table_of(v_prime) != reference:
-        return False
-    for coords, vec in ((theta, v), (theta_p, v_prime)):
-        for i, t in enumerate(coords):
-            if t and table_of(space.scalar_mul(t, basis[i])) != reference:
-                return False
-    return True
+
+def _slot_additions_agree(space, basis, v, theta):
+    """The key lemma's conclusion for one vector v = sum theta_i b_i:
+    whether +_(theta_i b_i) = +_v at every nonzero slot i."""
+    table = _addition_table(space, v)
+    return all(
+        _addition_table(space, space.scalar_mul(t, b)) is table
+        for t, b in zip(theta, basis) if t
+    )
 
 
 # -- the equivalence report ---------------------------------------------
@@ -333,16 +339,13 @@ def _module_law_failure(space, table):
     all its support coordinates pass (divide the defining identity by the
     nonzero coordinate value), so None means R_u = V.
 
-    Each (i, a) compares one row over b: psi_i read at row a of the
-    table, against the field's add row of psi_i(a) read at psi_i."""
+    Each coordinate is one homomorphism scan of psi_i from the table to
+    the field's addition."""
     fadd = space.field.op_tables()[0]
-    table_get = list(map(row_getter, table))
     for i, psi in enumerate(space._psi):
-        twist = row_getter(psi)
-        for a, pa in enumerate(psi):
-            left, right = table_get[a](psi), twist(fadd[pa])
-            if left != right:
-                return i, (a, first_mismatch(left, right))
+        bad = homomorphism_failure(psi, table, fadd)
+        if bad is not None:
+            return i, bad
     return None
 
 
@@ -357,18 +360,8 @@ def regularity_equivalences(space):
     qk = space.quasi_kernel()
     qstar = qk.sorted_nonzero()
 
-    # equal tables share one object, so the verdict caches below can key
-    # on identity and each distinct table is checked once
-    tables = {}
-    interned = {}
-
-    def table_of(v):
-        t = tables.get(v)
-        if t is None:
-            t = _addition_table(space, v)
-            t = tables[v] = interned.setdefault(tuple(map(tuple, t)), t)
-        return t
-
+    # _addition_table interns equal tables, so the verdict caches below
+    # key on identity and each distinct table is checked once
     def cached(scan):
         verdicts = {}
 
@@ -390,7 +383,7 @@ def regularity_equivalences(space):
     # that and the first passing it.
     module_fail = module_ok = None
     for v in qstar:
-        bad = module_law_failure(table_of(v))
+        bad = module_law_failure(_addition_table(space, v))
         if bad is None:
             if module_ok is None:
                 module_ok = v
@@ -404,7 +397,7 @@ def regularity_equivalences(space):
     dr_fail = None  # the first vector of Q(V)* whose scalars are no division ring
     if q_is_v or reg.regular or module_fail is None:
         for v in qstar:
-            passed, cx = division_ring_verdict(table_of(v))
+            passed, cx = division_ring_verdict(_addition_table(space, v))
             if not passed:
                 dr_fail = (v, cx)
                 break
@@ -421,7 +414,7 @@ def regularity_equivalences(space):
     ok, wit = True, None
     reference = None
     for v in qstar:
-        t = table_of(v)
+        t = _addition_table(space, v)
         if reference is None:
             reference = (v, t)
         elif t != reference[1]:
@@ -441,7 +434,7 @@ def regularity_equivalences(space):
         seen_orbit = {}
         for v in qstar:
             rep = min(space.multiples(v)[1:])
-            t = table_of(v)
+            t = _addition_table(space, v)
             prev = seen_orbit.get(rep)
             if prev is None:
                 seen_orbit[rep] = (v, t)
@@ -462,7 +455,7 @@ def regularity_equivalences(space):
         (dr_fail is None, dr_fail) if module_fail is None else (False, None)
     )
     if module_ok is not None:
-        passed, cx = division_ring_verdict(table_of(module_ok))
+        passed, cx = division_ring_verdict(_addition_table(space, module_ok))
         conditions["2'"] = passed
         witnesses["2'"] = module_ok if passed else (module_ok, cx)
     else:
@@ -615,13 +608,11 @@ def maximality_witness(space, component, outsider):
     space.check_vector(outsider)
     if outsider in component.members:
         raise ValueError("witness requested for an inside vector")
-    order = space.field.order
     table, escape = _orbit_sums(space, outsider)
     if escape is not None:
         return ("not_in_quasi_kernel", escape)
-    ref = component.induced.table
-    for a in range(order):
-        for b in range(order):
-            if table[a][b] != ref[a][b]:
-                return ("different_addition", component.induced.base_vector, (a, b))
+    for a, (row, ref) in enumerate(zip(table, component.induced.table)):
+        if row != ref:
+            return ("different_addition", component.induced.base_vector,
+                    (a, first_mismatch(row, ref)))
     return None

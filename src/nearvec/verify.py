@@ -82,16 +82,6 @@ def keylemma_suite(space, seed=0, max_size=None):
     basis_class = [space.class_of(b) for b in basis]
     coords = {v: span_mod.coordinates_in_independent_set(space, basis, v) for v in qstar}
 
-    interned = {}
-    table_id = {}
-
-    def table_index(v):
-        idx = table_id.get(v)
-        if idx is None:
-            key = tuple(map(tuple, structure._addition_table(space, v)))
-            idx = table_id[v] = interned.setdefault(key, len(interned))
-        return idx
-
     # two distinct slots in one class require a class of dimension >= 2
     can_hit = any(len(c.support) >= 2 for c in space.classes)
     limit = KEY_LEMMA_EXHAUSTIVE_LIMIT if max_size is None else min(
@@ -121,24 +111,18 @@ def keylemma_suite(space, seed=0, max_size=None):
                 pairs.append((v, w))
         mode = {"mode": "sampled", "pairs": len(pairs), "seed": seed}
 
+    # the premise was detected through matching slot classes; the
+    # conclusion is the interned definitional tables of v and w being one
+    # table, and each vector's own slot additions agreeing with it
+    slots_agree = {
+        v: structure._slot_additions_agree(space, basis, v, coords[v])
+        for v in {u for pair in pairs for u in pair}
+    }
     checks = []
     ok_all = True
     for v, w in pairs:
-        # the premise was detected through matching slot classes; the
-        # conclusion compares the interned definitional tables
-        conclusion = table_index(v) == table_index(w)
-        if conclusion:
-            ref = table_id[v]
-            for coords_vec in (coords[v], coords[w]):
-                for slot, theta in enumerate(coords_vec):
-                    if theta and table_index(
-                        space.scalar_mul(theta, basis[slot])
-                    ) != ref:
-                        conclusion = False
-                        break
-                if not conclusion:
-                    break
-        if not conclusion:
+        same = structure._addition_table(space, v) is structure._addition_table(space, w)
+        if not (same and slots_agree[v] and slots_agree[w]):
             ok_all = False
             checks.append(_check("shared_addition", False, (v, w)))
             break

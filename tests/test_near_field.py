@@ -186,6 +186,14 @@ def right_distributivity_reference(add, mul):
     )
 
 
+def homomorphism_reference(f, src, dst):
+    n = len(src)
+    return next(
+        ((a, b) for a in range(n) for b in range(n) if f[src[a][b]] != dst[f[a]][f[b]]),
+        None,
+    )
+
+
 def _scan_structures():
     for key in ((2, 1), (3, 1), (2, 3), (11, 1), (11, 2)):
         field = get_field(*key)
@@ -226,6 +234,12 @@ def test_row_scans_match_cell_references_under_corruption(add, mul):
             left_distributivity_reference(add_t, mul_t))
         assert nf.right_distributivity_failure(add_t, mul_t) == (
             right_distributivity_reference(add_t, mul_t))
+        # the identity and the multiplication by the last element, from
+        # each (possibly corrupted) table to its clean counterpart
+        for f in (range(n), mul[n - 1]):
+            for src, dst in ((add_t, add), (mul_t, mul)):
+                assert nf.homomorphism_failure(f, src, dst) == (
+                    homomorphism_reference(f, src, dst))
 
 
 def test_row_getter_returns_tuples_for_every_row_length():

@@ -14,6 +14,7 @@ from nearvec import span as spn
 from nearvec import structure as st
 from nearvec.errors import (
     HypothesisUnmetError,
+    InvalidSlotError,
     InvalidVectorError,
     NearVecError,
     NotABasisError,
@@ -369,6 +370,13 @@ class TestCanonicalCoordinates:
             assert [list(r) for r in induced.add] == [
                 list(r) for r in pushforward.add
             ]
+
+    @pytest.mark.parametrize("slot", [5, -1])
+    def test_addition_table_rejects_slots_outside_range(self, slot):
+        space = get_space(11, 1, (3, 7, 3))
+        cmap = spn.canonical_coordinates(space, spn.extract_basis(space))
+        with pytest.raises(InvalidSlotError, match=rf"slot {slot} "):
+            cmap.addition_table(slot)
 
     def test_rejects_bad_bases(self):
         space = get_space(11, 1, (3, 7, 3))

@@ -2,13 +2,17 @@
 
 import json
 import random
+import sys
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from conftest import CORPUS, corpus_spaces, get_space
 from nearvec import near_field as nf
+from nearvec import span as spn
 from nearvec import structure as st
+from nearvec import verify
 from nearvec.errors import (
     HypothesisUnmetError,
     NotInQuasiKernelError,
@@ -66,6 +70,21 @@ class TestInducedAddition:
         space = get_space(11, 1, (3, 7, 3))
         with pytest.raises(NotInQuasiKernelError, match=r"\(1, 1, 0\)"):
             st._addition_table(space, (1, 1, 0))
+
+    def test_verify_all_resolves_each_table_once(self, monkeypatch):
+        # a fresh space, so the memo starts empty
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        resolve = st._orbit_sums
+        calls = Counter()
+
+        def counting(space_, v):
+            if sys._getframe(1).f_code is st._addition_table.__code__:
+                calls[v] += 1
+            return resolve(space_, v)
+
+        monkeypatch.setattr(st, "_orbit_sums", counting)
+        assert verify.run_suites(space, ["all"])["pass"]
+        assert calls and max(calls.values()) == 1
 
     def test_defining_property(self):
         space = get_space(11, 1, (3, 7, 3))
@@ -236,6 +255,39 @@ class TestSharedAdditionLemma:
         e1, e2, _ = space.standard_basis()
         with pytest.raises(NotInQuasiKernelError):
             st.verify_shared_addition(space, [e1, e2], (1, 1, 0), (1, 0, 0))
+
+    def test_wrong_slot_table_fails_both_routes(self, monkeypatch):
+        # fresh spaces: a shared one's memo would keep the wrong table
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        basis = spn.extract_basis(space)
+        target = space.scalar_mul(2, basis[0])
+        resolve = st._orbit_sums
+
+        def corrupted(space_, v):
+            table, escape = resolve(space_, v)
+            if v == target:
+                table = [list(row) for row in table]
+                table[1][1], table[1][2] = table[1][2], table[1][1]
+            return table, escape
+
+        monkeypatch.setattr(st, "_orbit_sums", corrupted)
+        suite = verify.keylemma_suite(space)
+        assert not suite["pass"]
+        failed = suite["checks"][0]
+        assert (failed["name"], failed["pass"]) == ("shared_addition", False)
+        v, w = map(tuple, failed["witness"])
+        slots = {
+            space.scalar_mul(t, b)
+            for u in (v, w)
+            for t, b in zip(spn.coordinates_in_independent_set(space, basis, u), basis)
+            if t
+        }
+        assert target in slots | {v, w}
+        assert st.verify_shared_addition(space, basis, v, w) is False
+
+        monkeypatch.undo()
+        clean = TwistedSpace(Field(11), (3, 7, 3))
+        assert st.verify_shared_addition(clean, basis, v, w) is True
 
     def test_cross_class_pair_has_no_matching_slots(self):
         space = get_space(11, 1, (3, 7, 3))

@@ -6,6 +6,7 @@ from .errors import (
     HypothesisUnmetError,
     InvalidConfigError,
     InvalidElementError,
+    InvalidEnumerationError,
     InvalidMapError,
     InvalidSlotError,
     InvalidVectorError,
@@ -44,6 +45,7 @@ __all__ = [
     "HypothesisUnmetError",
     "InvalidConfigError",
     "InvalidElementError",
+    "InvalidEnumerationError",
     "InvalidMapError",
     "InvalidSlotError",
     "InvalidVectorError",

@@ -25,6 +25,7 @@ mutate them.
 
 from .errors import (
     HypothesisUnmetError,
+    InvalidEnumerationError,
     InvariantError,
     NotInQuasiKernelError,
     TooLargeError,
@@ -539,15 +540,16 @@ def decompose(space, enumeration=None):
     class supports, and each component's addition from the class twist
     formula a +_v b = (a^q + b^q)^(1/q) at the class's first standard
     basis vector.  ``maximality_witness`` and the tests check that
-    addition against the definitional orbit table.
+    addition against the definitional orbit table.  The direct sum is
+    certified in closed form (``_certify_decomposition``); the
+    per-vector reassembly is the oracle ``split_oracle_failure``.
 
     ``enumeration`` optionally reorders the coordinates used to derive
     the classes; the resulting component set must not change (this is
     the uniqueness check the test-suite runs with a reversed order).
+    InvalidEnumerationError unless it is a permutation of range(n).
     """
-    coords = list(enumeration) if enumeration is not None else list(range(space.n))
-    if sorted(coords) != list(range(space.n)):
-        raise ValueError("enumeration must be a permutation of the coordinates")
+    coords = _coordinate_order(space, enumeration)
     seen = {}
     class_order = []
     for i in coords:
@@ -569,35 +571,91 @@ def decompose(space, enumeration=None):
         )
 
     deco = Decomposition(space, tuple(components))
-    _verify_decomposition(space, deco)
+    _certify_decomposition(space, deco)
     return deco
 
 
-def _verify_decomposition(space, deco):
+def _coordinate_order(space, enumeration):
+    if enumeration is None:
+        return range(space.n)
+    try:
+        coords = list(enumeration)
+    except TypeError:
+        raise InvalidEnumerationError(
+            f"enumeration must be a sequence of coordinates, got {enumeration!r}"
+        ) from None
+    # type(i) is int: a bool is no coordinate, and a mixed list would not sort
+    if not all(type(i) is int for i in coords) or sorted(coords) != list(range(space.n)):
+        raise InvalidEnumerationError(
+            f"enumeration must be a permutation of range({space.n}), got {coords!r}"
+        )
+    return coords
+
+
+def _certify_decomposition(space, deco):
+    """Certify V as the direct sum of ``deco``'s components in O(n + |Q|),
+    raising InvariantError on the first check that fails: the component
+    sizes multiply to |V|, the supports partition range(n), and the
+    nonzero members partition Q(V)* (``quasi_kernel_partition_failure``).
+
+    ``space.add`` and ``Decomposition._split`` both work one coordinate
+    at a time: part j keeps the coordinates in support j and zeroes the
+    rest, so the parts of v sum, at coordinate i, to v_i taken once per
+    support holding i.  Every v therefore reassembles when each
+    coordinate lies in exactly one support, and e_i does not when no
+    support holds i.  ``split_oracle_failure`` is the per-vector oracle
+    for this, run by ``verify.decomposition_suite``.
+    """
     sizes = 1
     for comp in deco.components:
         sizes *= len(comp.members)
     if sizes != space.size:
         raise InvariantError("component sizes do not multiply to |V|")
+    supports = [list(comp.support) for comp in deco.components]
+    if sorted(i for sup in supports for i in sup) != list(range(space.n)):
+        raise InvariantError(
+            f"component supports {supports} do not partition range({space.n})"
+        )
+    failure = quasi_kernel_partition_failure(space, deco)
+    if failure is not None:
+        raise InvariantError("{}: {}".format(*failure))
+
+
+def quasi_kernel_partition_failure(space, deco):
+    """Whether the components' nonzero members partition Q(V)*: None,
+    or (reason, v) for the first breach, v the least vector that lies in
+    a component but outside Q(V), in two components, or in Q(V)* but in
+    no component."""
+    qk = space.quasi_kernel()
+    covered = set()
+    for comp in deco.components:
+        outside = comp.members - qk.members
+        if outside:
+            return "component is not contained in the quasi-kernel", min(outside)
+        nonzero = comp.members - {space.zero}
+        shared = covered & nonzero
+        if shared:
+            return "quasi-kernel vectors shared between components", min(shared)
+        covered |= nonzero
+    missing = qk.nonzero - covered
+    if missing:
+        return "components do not cover the quasi-kernel", min(missing)
+    return None
+
+
+def split_oracle_failure(space, deco):
+    """The oracle for ``_certify_decomposition``: the first vector, in
+    enumeration order, whose split parts do not add back up to it, or
+    None when every vector reassembles.  Splits and re-adds all |V|
+    vectors, O(|V| k) for k components."""
     add = space.add
     for v in space.iter_vectors():
         total = space.zero
         for part in deco._split(v):
             total = add(total, part)
         if total != v:
-            raise InvariantError(f"splitting failed to reassemble {v}")
-    qk = space.quasi_kernel()
-    covered = set()
-    for comp in deco.components:
-        q_comp = comp.members & qk.members
-        if q_comp != comp.members:
-            raise InvariantError("component is not contained in the quasi-kernel")
-        nz = q_comp - {space.zero}
-        if covered & nz:
-            raise InvariantError("quasi-kernel vectors shared between components")
-        covered |= nz
-    if covered != qk.nonzero:
-        raise InvariantError("components do not cover the quasi-kernel")
+            return v
+    return None
 
 
 def maximality_witness(space, component, outsider):
@@ -608,9 +666,12 @@ def maximality_witness(space, component, outsider):
     space.check_vector(outsider)
     if outsider in component.members:
         raise ValueError("witness requested for an inside vector")
-    table, escape = _orbit_sums(space, outsider)
-    if escape is not None:
-        return ("not_in_quasi_kernel", escape)
+    # a memo hit is a vector of Q(V) resolved to this very table
+    table = space._addition_tables.get(outsider)
+    if table is None:
+        table, escape = _orbit_sums(space, outsider)
+        if escape is not None:
+            return ("not_in_quasi_kernel", escape)
     for a, (row, ref) in enumerate(zip(table, component.induced.table)):
         if row != ref:
             return ("different_addition", component.induced.base_vector,

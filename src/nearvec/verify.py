@@ -183,21 +183,31 @@ def span_oracle_suite(space, seed=0, max_size=None):
 
 
 def decomposition_suite(space, seed=0, max_size=None):
+    """The closed-form decomposition against its oracles: every vector
+    splits and reassembles (the per-vector loop that ``decompose``
+    certifies in closed form), for the forward and the reversed
+    coordinate order; both orders give one component set; the nonzero
+    members partition Q(V)*; and no outsider keeps a component's
+    addition, swept up to the bound and sampled above it."""
     checks = []
-    deco = structure.decompose(space)  # verifies splitting internally
-    checks.append(_check("direct_sum_split", True, None,
-                         components=len(deco.components)))
-
+    deco = structure.decompose(space)
     reversed_deco = structure.decompose(
         space, enumeration=list(reversed(range(space.n)))
     )
+    unsplit = structure.split_oracle_failure(space, deco)
+    if unsplit is None:
+        unsplit = structure.split_oracle_failure(space, reversed_deco)
+    checks.append(_check("direct_sum_split", unsplit is None, unsplit,
+                         components=len(deco.components)))
+
     same = {c.members for c in deco.components} == {
         c.members for c in reversed_deco.components
     }
     checks.append(_check("unique_under_reversed_enumeration", same))
 
-    # decompose raises unless the components partition Q(V) \ {0}
-    checks.append(_check("quasi_kernel_partition", True))
+    breach = structure.quasi_kernel_partition_failure(space, deco)
+    checks.append(_check("quasi_kernel_partition", breach is None,
+                         None if breach is None else breach[1]))
 
     limit = MAXIMALITY_SWEEP_LIMIT if max_size is None else min(
         MAXIMALITY_SWEEP_LIMIT, max_size

@@ -15,6 +15,9 @@ from nearvec import structure as st
 from nearvec import verify
 from nearvec.errors import (
     HypothesisUnmetError,
+    InvalidEnumerationError,
+    InvariantError,
+    NearVecError,
     NotInQuasiKernelError,
     TooLargeError,
     ZeroVectorError,
@@ -427,6 +430,81 @@ class TestDecomposition:
                 c.members for c in rev.components
             }
 
+    @pytest.mark.parametrize("enumeration", [[0, 1, "a"], 5, [0, 1, 1]], ids=repr)
+    def test_enumeration_must_be_a_permutation(self, enumeration):
+        space = get_space(11, 1, (3, 7, 3))
+        with pytest.raises(InvalidEnumerationError, match="enumeration") as info:
+            st.decompose(space, enumeration=enumeration)
+        assert isinstance(info.value, NearVecError)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("supports", [((0, 2), (1, 2)), ((0,), (1,))], ids=repr)
+    def test_certificate_refuses_supports_that_do_not_partition(self, supports):
+        # GF(11)(3,7,3) splits into supports (0, 2) and (1,); moving the
+        # supports keeps the member sets, so only the support check fails
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        deco = st.decompose(space)
+        moved = st.Decomposition(space, tuple(
+            st.RegularComponent(space, c.class_id, sup, c.members, c.induced, c.basis)
+            for c, sup in zip(deco.components, supports)
+        ))
+        with pytest.raises(InvariantError, match="do not partition range"):
+            st._certify_decomposition(space, moved)
+
+    def test_certificate_refuses_members_that_do_not_partition(self):
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        big, small = st.decompose(space).components
+        shared = st.Decomposition(space, (big, big))
+        with pytest.raises(InvariantError, match="sizes"):
+            st._certify_decomposition(space, shared)
+        # (0, 1, 0) in place of (1, 0, 0) in the 121-member component:
+        # the sizes still multiply to |V|, and (0, 1, 0) lies in both
+        swapped = st.Decomposition(space, (
+            st.RegularComponent(space, big.class_id, big.support,
+                                (big.members - {(1, 0, 0)}) | {(0, 1, 0)},
+                                big.induced, big.basis),
+            small,
+        ))
+        with pytest.raises(InvariantError, match=r"shared between components: \(0, 1, 0\)"):
+            st._certify_decomposition(space, swapped)
+
+    def test_split_oracle_names_the_first_unsplit_vector(self, monkeypatch):
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        result = verify.decomposition_suite(space)
+        assert result["pass"] and result["checks"][0]["name"] == "direct_sum_split"
+        split = st.Decomposition._split
+        # drop the last part, the (1,) component's in both coordinate
+        # orders, so (0, 1, 0) is the first vector lost
+        monkeypatch.setattr(st.Decomposition, "_split", lambda self, v: split(self, v)[:-1])
+        deco = st.decompose(space)  # the closed-form certificate never splits
+        assert st.split_oracle_failure(space, deco) == (0, 1, 0)
+        result = verify.decomposition_suite(space)
+        assert not result["pass"]
+        assert result["checks"][0] == {
+            "name": "direct_sum_split", "pass": False, "witness": [0, 1, 0],
+            "components": 2,
+        }
+
+    def test_partition_check_names_the_uncovered_vector(self, monkeypatch):
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        decompose = st.decompose
+
+        def dropping(space_, enumeration=None):
+            # the components as decompose builds them, less (0, 0, 5)
+            deco = decompose(space_, enumeration)
+            return st.Decomposition(space_, tuple(
+                st.RegularComponent(space_, c.class_id, c.support,
+                                    c.members - {(0, 0, 5)}, c.induced, c.basis)
+                for c in deco.components
+            ))
+
+        monkeypatch.setattr(st, "decompose", dropping)
+        checks = {c["name"]: c for c in verify.decomposition_suite(space)["checks"]}
+        assert checks["quasi_kernel_partition"] == {
+            "name": "quasi_kernel_partition", "pass": False, "witness": [0, 0, 5],
+        }
+        assert checks["direct_sum_split"]["pass"]
+
     def test_component_basis_slices_standard_basis(self):
         space = get_space(11, 1, (3, 7, 3))
         deco = st.decompose(space)
@@ -478,6 +556,24 @@ class TestDecomposition:
                 witness = st.maximality_witness(space, comp, m)
                 assert witness == ("not_in_quasi_kernel", first_escape(space, m)) == (
                     "not_in_quasi_kernel", (1, 1)), (exponents, m)
+
+    def test_maximality_witness_reads_the_addition_memo(self, monkeypatch):
+        # a memoised outsider is not resolved again, and its witness is
+        # the one its full resolve gave
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        comp = st.decompose(space).components[1]
+        others = [v for v in space.quasi_kernel().sorted_nonzero()
+                  if v not in comp.members][:20]
+        expected = [st.maximality_witness(space, comp, v) for v in others]
+        assert all(w[0] == "different_addition" for w in expected)
+        for v in others:
+            st._addition_table(space, v)
+
+        def refuse(space_, v):
+            raise AssertionError(f"{v} resolved again")
+
+        monkeypatch.setattr(st, "_orbit_sums", refuse)
+        assert [st.maximality_witness(space, comp, v) for v in others] == expected
 
     def test_decomposition_report_serializes(self):
         payload = st.decompose(get_space(5, 1, (1, 3))).to_json()

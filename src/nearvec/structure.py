@@ -23,6 +23,8 @@ orbit once and interns equal tables so they share one list.  Like
 mutate them.
 """
 
+import operator
+
 from .errors import (
     HypothesisUnmetError,
     InvalidEnumerationError,
@@ -502,6 +504,12 @@ class Decomposition:
     def __init__(self, space, components):
         self.space = space
         self.components = components
+        # one 0/1 mask per component: times 1 keeps a coordinate index,
+        # times 0 gives the zero index
+        self._masks = tuple(
+            tuple(int(i in sup) for i in range(space.n))
+            for sup in (set(comp.support) for comp in components)
+        )
 
     def split(self, v):
         """The unique component parts summing to v."""
@@ -509,11 +517,7 @@ class Decomposition:
         return self._split(v)
 
     def _split(self, v):
-        parts = []
-        for comp in self.components:
-            sup = set(comp.support)
-            parts.append(tuple(x if i in sup else 0 for i, x in enumerate(v)))
-        return tuple(parts)
+        return tuple(tuple(map(operator.mul, v, mask)) for mask in self._masks)
 
     def component_of(self, v):
         """The component containing v, or None for mixed-support vectors."""
@@ -593,18 +597,22 @@ def _coordinate_order(space, enumeration):
 
 
 def _certify_decomposition(space, deco):
-    """Certify V as the direct sum of ``deco``'s components in O(n + |Q|),
-    raising InvariantError on the first check that fails: the component
-    sizes multiply to |V|, the supports partition range(n), and the
-    nonzero members partition Q(V)* (``quasi_kernel_partition_failure``).
+    """Certify V as the direct sum of ``deco``'s components in
+    O(n k + |Q|), raising InvariantError on the first check that fails:
+    the component sizes multiply to |V|, the supports partition
+    range(n), the all-ones vector reassembles, and the nonzero members
+    partition Q(V)*, each named with the least vector breaching it.
 
     ``space.add`` and ``Decomposition._split`` both work one coordinate
     at a time: part j keeps the coordinates in support j and zeroes the
     rest, so the parts of v sum, at coordinate i, to v_i taken once per
     support holding i.  Every v therefore reassembles when each
     coordinate lies in exactly one support, and e_i does not when no
-    support holds i.  ``split_oracle_failure`` is the per-vector oracle
-    for this, run by ``verify.decomposition_suite``.
+    support holds i.  The all-ones vector ties this to the code: each
+    of its coordinates is nonzero and x + x = x only for x = 0, so a
+    coordinate that ``_split`` drops or gives to two parts shows there.
+    ``split_oracle_failure`` is the per-vector oracle, run by
+    ``verify.decomposition_suite``.
     """
     sizes = 1
     for comp in deco.components:
@@ -616,31 +624,27 @@ def _certify_decomposition(space, deco):
         raise InvariantError(
             f"component supports {supports} do not partition range({space.n})"
         )
-    failure = quasi_kernel_partition_failure(space, deco)
-    if failure is not None:
-        raise InvariantError("{}: {}".format(*failure))
-
-
-def quasi_kernel_partition_failure(space, deco):
-    """Whether the components' nonzero members partition Q(V)*: None,
-    or (reason, v) for the first breach, v the least vector that lies in
-    a component but outside Q(V), in two components, or in Q(V)* but in
-    no component."""
+    probe = (1,) * space.n
+    if _reassembled(space, deco, probe) != probe:
+        raise InvariantError(f"splitting failed to reassemble {probe}")
     qk = space.quasi_kernel()
     covered = set()
     for comp in deco.components:
         outside = comp.members - qk.members
         if outside:
-            return "component is not contained in the quasi-kernel", min(outside)
+            raise InvariantError(
+                f"component is not contained in the quasi-kernel: {min(outside)}"
+            )
         nonzero = comp.members - {space.zero}
         shared = covered & nonzero
         if shared:
-            return "quasi-kernel vectors shared between components", min(shared)
+            raise InvariantError(
+                f"quasi-kernel vectors shared between components: {min(shared)}"
+            )
         covered |= nonzero
     missing = qk.nonzero - covered
     if missing:
-        return "components do not cover the quasi-kernel", min(missing)
-    return None
+        raise InvariantError(f"components do not cover the quasi-kernel: {min(missing)}")
 
 
 def split_oracle_failure(space, deco):
@@ -648,14 +652,19 @@ def split_oracle_failure(space, deco):
     enumeration order, whose split parts do not add back up to it, or
     None when every vector reassembles.  Splits and re-adds all |V|
     vectors, O(|V| k) for k components."""
-    add = space.add
     for v in space.iter_vectors():
-        total = space.zero
-        for part in deco._split(v):
-            total = add(total, part)
-        if total != v:
+        if _reassembled(space, deco, v) != v:
             return v
     return None
+
+
+def _reassembled(space, deco, v):
+    """The sum of v's split parts."""
+    add = space.add
+    total = space.zero
+    for part in deco._split(v):
+        total = add(total, part)
+    return total
 
 
 def maximality_witness(space, component, outsider):

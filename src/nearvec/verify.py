@@ -186,28 +186,32 @@ def decomposition_suite(space, seed=0, max_size=None):
     """The closed-form decomposition against its oracles: every vector
     splits and reassembles (the per-vector loop that ``decompose``
     certifies in closed form), for the forward and the reversed
-    coordinate order; both orders give one component set; the nonzero
-    members partition Q(V)*; and no outsider keeps a component's
+    coordinate order, a failure naming its order; both orders give one
+    component set; the nonzero members partition Q(V)*, each in the
+    component of its class; and no outsider keeps a component's
     addition, swept up to the bound and sampled above it."""
     checks = []
     deco = structure.decompose(space)
     reversed_deco = structure.decompose(
         space, enumeration=list(reversed(range(space.n)))
     )
-    unsplit = structure.split_oracle_failure(space, deco)
-    if unsplit is None:
-        unsplit = structure.split_oracle_failure(space, reversed_deco)
-    checks.append(_check("direct_sum_split", unsplit is None, unsplit,
-                         components=len(deco.components)))
+    for order, d in (("forward", deco), ("reversed", reversed_deco)):
+        unsplit = structure.split_oracle_failure(space, d)
+        if unsplit is not None:
+            checks.append(_check("direct_sum_split", False, unsplit,
+                                 components=len(deco.components), order=order))
+            break
+    else:
+        checks.append(_check("direct_sum_split", True,
+                             components=len(deco.components)))
 
     same = {c.members for c in deco.components} == {
         c.members for c in reversed_deco.components
     }
     checks.append(_check("unique_under_reversed_enumeration", same))
 
-    breach = structure.quasi_kernel_partition_failure(space, deco)
-    checks.append(_check("quasi_kernel_partition", breach is None,
-                         None if breach is None else breach[1]))
+    breach = _class_placement_breach(space, deco)
+    checks.append(_check("quasi_kernel_partition", breach is None, breach))
 
     limit = MAXIMALITY_SWEEP_LIMIT if max_size is None else min(
         MAXIMALITY_SWEEP_LIMIT, max_size
@@ -229,6 +233,22 @@ def decomposition_suite(space, seed=0, max_size=None):
 
     ok = all(c["pass"] for c in checks)
     return {"name": "decomposition", "pass": ok, "checks": checks}
+
+
+def _class_placement_breach(space, deco):
+    """The least vector placed against the exponent classes, or None:
+    a nonzero member outside Q(V), or a vector of Q(V)* not held by
+    exactly one component, the one of the class ``space.class_of``
+    gives it.  This reads the coordinate-to-class map, where the
+    components' members come from the class supports."""
+    holders = {}
+    for comp in deco.components:
+        for m in comp.members:
+            holders.setdefault(m, []).append(comp.class_id)
+    qk = space.quasi_kernel()
+    breaches = [m for m in holders if m != space.zero and m not in qk.members]
+    breaches += [v for v in qk.nonzero if holders.get(v) != [space.class_of(v)]]
+    return min(breaches, default=None)
 
 
 def quasi_kernel_oracle_suite(space, seed=0, max_size=None):

@@ -468,21 +468,58 @@ class TestDecomposition:
         with pytest.raises(InvariantError, match=r"shared between components: \(0, 1, 0\)"):
             st._certify_decomposition(space, swapped)
 
+    def test_certificate_reassembles_the_all_ones_vector(self, monkeypatch):
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        split = st.Decomposition._split
+        monkeypatch.setattr(st.Decomposition, "_split", lambda self, v: split(self, v)[:-1])
+        with pytest.raises(InvariantError, match=r"reassemble \(1, 1, 1\)"):
+            st.decompose(space)
+        # a coordinate given to two parts: 1 + 1 != 1 in GF(11)
+        monkeypatch.setattr(st.Decomposition, "_split",
+                            lambda self, v: split(self, v) + split(self, v)[-1:])
+        with pytest.raises(InvariantError, match=r"reassemble \(1, 1, 1\)"):
+            st.decompose(space)
+
     def test_split_oracle_names_the_first_unsplit_vector(self, monkeypatch):
         space = TwistedSpace(Field(11), (3, 7, 3))
         result = verify.decomposition_suite(space)
-        assert result["pass"] and result["checks"][0]["name"] == "direct_sum_split"
+        assert result["pass"] and result["checks"][0] == {
+            "name": "direct_sum_split", "pass": True, "components": 2,
+        }
         split = st.Decomposition._split
-        # drop the last part, the (1,) component's in both coordinate
-        # orders, so (0, 1, 0) is the first vector lost
-        monkeypatch.setattr(st.Decomposition, "_split", lambda self, v: split(self, v)[:-1])
-        deco = st.decompose(space)  # the closed-form certificate never splits
+
+        def lossy(self, v):
+            # drop the last part, the (1,) component's in both coordinate
+            # orders, of vectors with a zero coordinate: the certificate's
+            # all-ones vector reassembles and (0, 1, 0) is the first lost
+            parts = split(self, v)
+            return parts[:-1] if 0 in v else parts
+
+        monkeypatch.setattr(st.Decomposition, "_split", lossy)
+        deco = st.decompose(space)
         assert st.split_oracle_failure(space, deco) == (0, 1, 0)
         result = verify.decomposition_suite(space)
         assert not result["pass"]
         assert result["checks"][0] == {
             "name": "direct_sum_split", "pass": False, "witness": [0, 1, 0],
-            "components": 2,
+            "components": 2, "order": "forward",
+        }
+
+    def test_split_oracle_runs_the_reversed_order(self, monkeypatch):
+        # GF(5)(1,3) has classes (0,) and (1,), listed in the reverse
+        # order under the reversed enumeration; only that split loses the
+        # last part, the (0,) component's, so (1, 0) is the first lost
+        space = TwistedSpace(Field(5), (1, 3))
+        split = st.Decomposition._split
+
+        def lossy(self, v):
+            parts = split(self, v)
+            return parts[:-1] if self.components[0].support == (1,) and 0 in v else parts
+
+        monkeypatch.setattr(st.Decomposition, "_split", lossy)
+        assert verify.decomposition_suite(space)["checks"][0] == {
+            "name": "direct_sum_split", "pass": False, "witness": [1, 0],
+            "components": 2, "order": "reversed",
         }
 
     def test_partition_check_names_the_uncovered_vector(self, monkeypatch):
@@ -504,6 +541,20 @@ class TestDecomposition:
             "name": "quasi_kernel_partition", "pass": False, "witness": [0, 0, 5],
         }
         assert checks["direct_sum_split"]["pass"]
+
+    def test_partition_check_reads_the_class_map(self):
+        # swapping the two components' class ids keeps every member set,
+        # so the certificate passes, but the class map places (0, 0, 1),
+        # supported on class 0's coordinate 2, in the other component
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        big, small = st.decompose(space).components
+        swapped = st.Decomposition(space, tuple(
+            st.RegularComponent(space, cid, c.support, c.members, c.induced, c.basis)
+            for c, cid in ((big, small.class_id), (small, big.class_id))
+        ))
+        st._certify_decomposition(space, swapped)
+        assert verify._class_placement_breach(space, swapped) == (0, 0, 1)
+        assert verify._class_placement_breach(space, st.decompose(space)) is None
 
     def test_component_basis_slices_standard_basis(self):
         space = get_space(11, 1, (3, 7, 3))

@@ -131,13 +131,9 @@ class TwistedSpace:
             self._fadd, self._fmul = field._add_rows, field._mul_rows
         else:
             self._fadd = self._fmul = None
-        # per-coordinate twist tables, shared between equal exponents; each
-        # reads the field's cached discrete-log walk
-        pow_tables = {}
-        for q in self.exponents:
-            if q not in pow_tables:
-                pow_tables[q] = field.pow_table(q)
-        self._psi = [pow_tables[q] for q in self.exponents]
+        self._power_tables = {}
+        # per-coordinate twist tables, shared between equal exponents
+        self._psi = [self.power_table(q) for q in self.exponents]
         self._fneg = field.neg_table()
         self._vectors = None
         self._quasi_kernel = None
@@ -146,7 +142,6 @@ class TwistedSpace:
         # table, equal tables interned through their tuple form
         self._addition_tables = {}
         self._interned_addition_tables = {}
-        self._inv_pow_tables = {}
 
     @staticmethod
     def _reduce(q, m):
@@ -190,6 +185,20 @@ class TwistedSpace:
             ExponentClass(index=j, support=tuple(groups[key]), exponent=key)
             for j, key in enumerate(order)
         )
+
+    def power_table(self, k):
+        """[x^k for every element x], cached per k mod |F*|.
+
+        k is a unit mod |F*|: an exponent, an inverse of one, or a
+        product of these.  Over GF(2), where |F*| = 1, every such power is
+        the identity.
+        """
+        m = self.field.mult_order
+        k = k % m if m > 1 else 1
+        table = self._power_tables.get(k)
+        if table is None:
+            table = self._power_tables[k] = self.field.pow_table(k)
+        return table
 
     # -- vector arithmetic ------------------------------------------------
 
@@ -331,27 +340,15 @@ class TwistedSpace:
         table = self._class_add_tables.get(cid)
         if table is None:
             self.check_class_table_bound()
-            field = self.field
             q = self.classes[cid].exponent
-            m = field.mult_order
-            fwd = field.pow_table(q)
-            back = field.pow_table(pow(q, -1, m) if m > 1 else 1)
-            add_row = field.add_row
+            fwd = self.power_table(q)
+            back = self.power_table(pow(q, -1, self.field.mult_order))
+            add_row = self.field.add_row
             back_of = back.__getitem__
             table = [
                 list(map(back_of, map(add_row(fa).__getitem__, fwd))) for fa in fwd
             ]
             self._class_add_tables[cid] = table
-        return table
-
-    def inverse_pow_table(self, i):
-        """[x^(1/q_i)], inverting the coordinate-i twist."""
-        q = self.exponents[i]
-        table = self._inv_pow_tables.get(q)
-        if table is None:
-            m = self.field.mult_order
-            table = self.field.pow_table(pow(q, -1, m) if m > 1 else 1)
-            self._inv_pow_tables[q] = table
         return table
 
     # -- quasi-kernel -------------------------------------------------------

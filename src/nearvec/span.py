@@ -1,11 +1,13 @@
 """Linear combinations, span, dimension and bases over twisted actions.
 
-Inside one exponent class the coordinate maps x -> x^(1/q_i) straighten
-the twist: they carry vector addition to the class's induced scalar
-addition and the action to plain multiplication, turning each regular
-component into an honest vector space over the induced field.  Span and
-coordinates are computed constructively through that straightening and
-certified against closure oracles that know nothing about it.
+Inside one exponent class the coordinate maps x -> x^(q/q_i), q the
+class exponent, straighten the twist: each is a Frobenius power, so
+they keep vector addition and turn the action of alpha into plain
+multiplication by alpha^q.  Since alpha -> alpha^q is a bijection of F,
+each regular component is so carried onto a vector space over F, and
+span, independence and coordinates are computed there by one
+elimination over F, then certified against closure oracles that know
+nothing about it.
 """
 
 from itertools import product
@@ -18,75 +20,71 @@ from .errors import (
     NotInQuasiKernelError,
     TooLargeError,
 )
-from .space import additive_closure, vector_to_json
+from .space import MAX_SPACE_SIZE, additive_closure, vector_to_json
 
 INDEPENDENCE_SCAN_LIMIT = 1 << 22
 
 
-# -- straightened coordinates over the induced field -------------------------
+# -- straightened coordinates over F -------------------------------------------
 
 
-def _tau(space, v, cid):
-    """Per-coordinate untwisting of a class-supported vector."""
-    return tuple(space.inverse_pow_table(i)[v[i]] for i in space.classes[cid].support)
+def _straightening(space, cid):
+    """The tables [x^(q/q_i)] of class cid's support coordinates i, q the
+    class exponent.
 
-
-class _InducedFieldOps:
-    """The induced field K = (A, +_class, *) with enough ops for Gauss.
-
-    ``mul(a)`` is the field's multiplication row of a.  The class
-    addition table is read only to eliminate a second row, so a single
-    row per class needs no |F|^2 table and works above TABLE_LIMIT.
+    Inside a class q_i = q p^l, so x -> x^(q/q_i) is a Frobenius power:
+    it is additive and takes alpha^(q_i) x to alpha^q times the image of
+    x.  Class-supported vectors so mapped form a vector space over F on
+    which alpha acts as alpha^q.
     """
-
-    def __init__(self, space, cid):
-        self._space = space
-        self._cid = cid
-        # the closed form (-(a^q))^(1/q) is plain field negation: q is
-        # coprime to p^r - 1, hence odd for odd p, and -a = a for p = 2
-        self.neg = space.field.neg_table()
-        self.mul = space.field.mul_row
-        self.inv = space.field.inv
-
-    @property
-    def add(self):
-        return self._space.class_addition_table(self._cid)
+    m = space.field.mult_order
+    q = space.classes[cid].exponent
+    return [
+        space.power_table(q * pow(space.exponents[i], -1, m))
+        for i in space.classes[cid].support
+    ]
 
 
-def _solve(kops, columns, target):
-    """Solve sum_j x_j * col_j = target over K by Gauss-Jordan.
+def _pivot_columns(space, cid, columns):
+    """Gauss-Jordan over F on the matrix whose columns are the given
+    class-supported vectors, straightened.
 
-    Returns the coefficient list, or None if inconsistent.  Raises if the
-    columns are dependent (callers only pass independent sets).
+    Returns (pivot columns, reduced rows).  Column j is a pivot column
+    exactly when its vector is independent of the vectors before it, and
+    a non-pivot column holds its coefficients over the pivot columns,
+    row by row.
     """
-    npos = len(target)
-    k = len(columns)
-    rows = [[columns[j][pos] for j in range(k)] + [target[pos]] for pos in range(npos)]
-    kneg, fmul, finv = kops.neg, kops.mul, kops.inv
-    pivot_row_of = {}
-    r = 0
-    for j in range(k):
-        pivot = next((i for i in range(r, npos) if rows[i][j] != 0), None)
+    field = space.field
+    neg, add_row, mul_row, inv = (
+        field.neg_table(), field.add_row, field.mul_row, field.inv)
+    rows = [
+        [table[v[i]] for v in columns]
+        for table, i in zip(_straightening(space, cid), space.classes[cid].support)
+    ]
+    pivots = []
+    for j in range(len(columns)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][j]), None)
         if pivot is None:
-            raise NotABasisError("dependent columns in coordinate solve")
+            continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = list(map(fmul(finv(rows[r][j])).__getitem__, rows[r]))
-        for i in range(npos):
-            if i != r and rows[i][j] != 0:
-                scaled = map(fmul(kneg[rows[i][j]]).__getitem__, rows[r])
-                kadd = kops.add
-                rows[i] = [kadd[a][b] for a, b in zip(rows[i], scaled)]
-        pivot_row_of[j] = r
-        r += 1
-    for i in range(r, npos):
-        if rows[i][k] != 0:
-            return None
-    return [rows[pivot_row_of[j]][k] for j in range(k)]
+        top = rows[r] = list(map(mul_row(inv(rows[r][j])).__getitem__, rows[r]))
+        for i, row in enumerate(rows):
+            c = row[j]
+            if c and i != r:
+                scaled = map(mul_row(neg[c]).__getitem__, top)
+                rows[i] = [add_row(a)[b] for a, b in zip(row, scaled)]
+        pivots.append(j)
+    return pivots, rows
 
 
 def coordinates_in_independent_set(space, vectors, target):
     """Coefficients expressing target over independent quasi-kernel
-    vectors, or None when no expansion exists."""
+    vectors, or None when no expansion exists.
+
+    Per class, sum_j a_j v_j = t straightens to sum_j y_j s(v_j) = s(t)
+    with y_j = a_j^q, solved with the target as the last column.
+    """
     space.check_vector(target)
     members = space.quasi_kernel().members
     by_class = {}
@@ -100,17 +98,17 @@ def coordinates_in_independent_set(space, vectors, target):
     if not target_classes <= set(by_class):
         return None
     for cid, idxs in by_class.items():
-        cols = [_tau(space, vectors[i], cid) for i in idxs]
-        part = tuple(target[i] for i in space.classes[cid].support)
-        tpart = tuple(
-            space.inverse_pow_table(i)[x]
-            for i, x in zip(space.classes[cid].support, part)
-        )
-        solved = _solve(_InducedFieldOps(space, cid), cols, tpart)
-        if solved is None:
+        k = len(idxs)
+        pivots, rows = _pivot_columns(
+            space, cid, [vectors[i] for i in idxs] + [target])
+        if pivots[:k] != list(range(k)):
+            raise NotABasisError("dependent columns in coordinate solve")
+        if len(pivots) > k:
             return None
-        for i, x in zip(idxs, solved):
-            coeffs[i] = x
+        unstraighten = space.power_table(
+            pow(space.classes[cid].exponent, -1, space.field.mult_order))
+        for i, row in zip(idxs, rows):
+            coeffs[i] = unstraighten[row[k]]
     return tuple(coeffs)
 
 
@@ -135,8 +133,6 @@ def subspace_closure_oracle(space, generators):
     endomorphisms, so rescaling a sum of scaled generators is again such
     a sum and the result is scalar-closed without closing explicitly.
     """
-    if space.size > (1 << 21):
-        raise TooLargeError("space too large to materialise the closure")
     generators = list(generators)
     for g in generators:
         space.check_vector(g)
@@ -215,8 +211,6 @@ def span_of(space, generators):
     """Constructive span: split the generators over the regular
     components, keep a maximal independent subset of the parts per
     component, and materialise all coefficient combinations."""
-    if space.size > (1 << 21):
-        raise TooLargeError("space too large to materialise spans")
     parts_by_class = {}
     for g in generators:
         space.check_vector(g)
@@ -226,23 +220,9 @@ def span_of(space, generators):
     chosen = []
     chosen_classes = []
     for cid in sorted(parts_by_class):
-        kops = _InducedFieldOps(space, cid)
-        kneg, fmul, finv = kops.neg, kops.mul, kops.inv
-        echelon = []  # reduced tau-rows with their pivot positions
-        for part in parts_by_class[cid]:
-            row = list(_tau(space, part, cid))
-            for pivot_pos, pivot_row in echelon:
-                c = row[pivot_pos]
-                if c != 0:
-                    scaled = map(fmul(kneg[c]).__getitem__, pivot_row)
-                    kadd = kops.add
-                    row = [kadd[a][b] for a, b in zip(row, scaled)]
-            pivot_pos = next((i for i, x in enumerate(row) if x != 0), None)
-            if pivot_pos is None:
-                continue
-            row = list(map(fmul(finv(row[pivot_pos])).__getitem__, row))
-            echelon.append((pivot_pos, row))
-            chosen.append(part)
+        parts = parts_by_class[cid]
+        for j in _pivot_columns(space, cid, parts)[0]:
+            chosen.append(parts[j])
             chosen_classes.append(cid)
 
     members = {space.zero}
@@ -392,7 +372,7 @@ def is_subspace(space, vectors):
     subset = set(vectors)
     if not subset:
         return False
-    if len(subset) > (1 << 21):
+    if len(subset) > MAX_SPACE_SIZE:
         raise TooLargeError("subset too large for the closure scan")
     for v in subset:
         space.check_vector(v)
@@ -417,8 +397,9 @@ class CoordinateMap:
     """The bijection V <-> A^n induced by a quasi-kernel basis.
 
     from_coords applies the definition directly (scale each basis vector
-    and add); to_coords solves per component over the induced field, so
-    round-tripping exercises two genuinely different routes.
+    and add); to_coords solves per component over F, through the
+    straightening x -> x^(q/q_i), so round-tripping exercises two
+    genuinely different routes.
     """
 
     def __init__(self, space, basis):
@@ -440,13 +421,12 @@ class CoordinateMap:
                 raise NotABasisError(
                     "basis does not match the component dimensions"
                 )
-        try:
-            for cid, idxs in self._slots_by_class.items():
-                cols = [_tau(space, self.basis[i], cid) for i in idxs]
-                _solve(_InducedFieldOps(space, cid),
-                       cols, (0,) * len(cols))
-        except NotABasisError:
-            raise NotABasisError("basis vectors are dependent inside a component")
+        for cid, idxs in self._slots_by_class.items():
+            pivots = _pivot_columns(space, cid, [self.basis[i] for i in idxs])[0]
+            if len(pivots) < len(idxs):
+                raise NotABasisError(
+                    "basis vectors are dependent inside a component"
+                )
 
     def to_coords(self, v):
         coords = coordinates_in_independent_set(self.space, self.basis, v)

@@ -19,8 +19,9 @@ they certify the closed form rather than share it.
 ``_addition_table`` is the one cache of these definitional tables: a memo
 on the space, kept as long as the space, that resolves each vector's
 orbit once and interns equal tables so they share one list.  Like
-``class_addition_table``'s tables they are shared, so callers must not
-mutate them.
+``class_addition_table``'s tables, which only ``InducedAddition`` and
+``CoordinateMap.addition_table`` read, they are shared, so callers must
+not mutate them.
 """
 
 import operator
@@ -30,7 +31,6 @@ from .errors import (
     InvalidEnumerationError,
     InvariantError,
     NotInQuasiKernelError,
-    TooLargeError,
     ZeroVectorError,
 )
 from .near_field import (
@@ -358,8 +358,6 @@ def regularity_equivalences(space):
 
     Conditions 5, 1, 2 and 2' read one module-law pass over Q(V)*, and
     3, 7 and 1' one scan for its first division-ring failure."""
-    if space.size > (1 << 21):
-        raise TooLargeError("space too large for the equivalence sweep")
     qk = space.quasi_kernel()
     qstar = qk.sorted_nonzero()
 

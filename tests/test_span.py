@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as hst
 
-from conftest import corpus_spaces, get_space
+from conftest import get_space
 from nearvec import near_field as nf
 from nearvec import span as spn
 from nearvec import structure as st
@@ -325,7 +325,8 @@ class TestIsSubspace:
 
 class TestCanonicalCoordinates:
     def test_round_trip_all_vectors(self):
-        for key in [(11, 1, (3, 7, 3)), (3, 2, (1, 5)), (5, 1, (1, 1))]:
+        for key in [(11, 1, (3, 7, 3)), (3, 2, (1, 5)), (5, 1, (1, 1)),
+                    (2, 2, (1, 2)), (2, 3, (3, 5))]:
             space = get_space(*key)
             cmap = spn.canonical_coordinates(space, spn.extract_basis(space))
             for v in space.vectors():
@@ -388,6 +389,10 @@ class TestCanonicalCoordinates:
             spn.canonical_coordinates(
                 space, [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
             )
+        # one class whose second coordinate is straightened by Frobenius
+        gf4 = get_space(2, 2, (1, 2))
+        with pytest.raises(NotABasisError):
+            spn.canonical_coordinates(gf4, [(1, 1), gf4.scalar_mul(2, (1, 1))])
 
 
 class TestExoticSpanWitnesses:
@@ -419,16 +424,6 @@ class TestExoticSpanWitnesses:
             spn.intersecting_span_witness(get_space(5, 1, (1, 3)))
         with pytest.raises(HypothesisUnmetError):
             spn.intersecting_span_witness(get_space(7, 1, (1, 1, 1)))
-
-
-class TestInducedNegation:
-    def test_field_negation_equals_index_scan_on_corpus(self):
-        for space in corpus_spaces():
-            for cls in space.classes:
-                table = space.class_addition_table(cls.index)
-                assert spn._InducedFieldOps(space, cls.index).neg == [
-                    row.index(0) for row in table
-                ], (space, cls.index)
 
 
 class TestVectorValidation:
@@ -466,6 +461,7 @@ ABOVE_TABLE_LIMIT = [
     (Field(1031), 7),
     (Field(2053), 5),
     (Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,)), 3),
+    (Field(4099), 1),  # above CLASS_TABLE_LIMIT too
 ]
 
 
@@ -498,6 +494,19 @@ class TestAboveTableLimit:
         cmap = spn.CoordinateMap(space, space.standard_basis())
         for v in self.seeded_vectors(space) + [space.zero]:
             assert cmap.from_coords(cmap.to_coords(v)) == v
+
+    def test_one_class_elimination_builds_no_class_table(self, space):
+        # a second generator in one class is eliminated over F, so no
+        # class addition table of |F|^2 entries is built or refused
+        v = self.seeded_vectors(space)[0]
+        sub = spn.span_of(space, [v, space.scalar_mul(2, v)])
+        assert sub.dim == 1
+        assert sub.members == spn.subspace_closure_oracle(space, [v])
+        cmap = spn.CoordinateMap(space, [v])
+        for target in self.seeded_vectors(space) + [space.zero]:
+            coords = spn.coordinates_in_independent_set(space, [v], target)
+            assert cmap.from_coords(coords) == target
+        assert space._class_add_tables == {}
 
 
 def test_field_scale_session_builds_no_dense_table():

@@ -14,6 +14,7 @@ from .report import jsonify
 from .space import (
     TwistedSpace,
     check_axioms_raw,
+    quasi_kernel_report,
     vector_from_json,
     vector_to_json,
 )
@@ -45,8 +46,6 @@ def _print_plain(report, indent=0):
             ):
                 print(f"{pad}{key}:")
                 _print_plain(value, indent + 1)
-            elif isinstance(value, list):
-                print(f"{pad}{key}: {value}")
             else:
                 print(f"{pad}{key}: {value}")
     elif isinstance(report, list):
@@ -94,7 +93,7 @@ def _member_limit(args):
 
 def cmd_qk(args):
     space = load_space(args.config)
-    emit(space.quasi_kernel().to_json(member_limit=_member_limit(args)), args.json)
+    emit(quasi_kernel_report(space, member_limit=_member_limit(args)), args.json)
     return 0
 
 
@@ -173,14 +172,9 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("config", help="space config JSON file")
+    def common(p):
+        p.add_argument("config", help="space config JSON file")
         p.add_argument("--json", action="store_true", help="machine output")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for sampled sub-suites")
-        p.add_argument("--max-size", type=int, default=None,
-                       help="lower the enumeration bounds")
 
     p = sub.add_parser("info", help="field, classes, regularity")
     common(p)
@@ -213,9 +207,9 @@ def build_parser():
         help="which suite to run",
     )
     p.add_argument("--raw", help="raw fixture JSON (group table + endomorphisms)")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--json", action="store_true", help="machine output")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampled sub-suites")
+    p.add_argument("--max-size", type=int, default=None, help="lower the enumeration bounds")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("hom", help="check a homomorphism pair (theta, eta)")

@@ -288,7 +288,12 @@ class TwistedSpace:
         return tuple(i for i, x in enumerate(v) if x)
 
     def class_of(self, v):
-        """Index of the exponent class carrying v, or None if mixed or zero."""
+        """Index of the exponent class whose support holds supp(v), or None
+        for the zero vector and mixed supports; InvalidVectorError unless
+        ``check_vector`` passes.  V is the direct sum of its regular
+        components, one per class, so v lies in Q(V)* exactly when this is
+        not None: the membership test that needs no enumerated Q(V)."""
+        self.check_vector(v)
         cids = {self._class_of_coord[i] for i in self.support(v)}
         if len(cids) == 1:
             return next(iter(cids))
@@ -383,7 +388,9 @@ class TwistedSpace:
 
 
 class QuasiKernel:
-    """The vectors v for which every alpha v + beta v is again gamma v."""
+    """The vectors v for which every alpha v + beta v is again gamma v,
+    enumerated: the oracles iterate it, while membership is
+    ``TwistedSpace.class_of`` and the counts ``quasi_kernel_report``."""
 
     def __init__(self, space, members, class_supports):
         self.space = space
@@ -404,21 +411,27 @@ class QuasiKernel:
         zero = self.space.zero
         return [v for v in self.sorted_members() if v != zero]
 
-    def to_json(self, member_limit=4096):
-        data = {
-            "member_count": len(self.members),
-            "class_supports": [
-                {
-                    "support": list(cls.support),
-                    "exponent": cls.exponent,
-                    "count": len(sup),
-                }
-                for cls, sup in zip(self.space.classes, self.class_supports)
-            ],
-        }
-        if len(self.members) <= member_limit:
-            data["members"] = [vector_to_json(self.space, v) for v in self.sorted_members()]
-        return data
+
+def quasi_kernel_report(space, member_limit=4096):
+    """Q(V)'s counts read off the exponent classes: class c holds the
+    |F|^|c| vectors supported inside it, and the classes share only zero.
+    Q(V) is enumerated only to list its members, when at most
+    ``member_limit``."""
+    order = space.field.order
+    counts = [order ** len(cls.support) for cls in space.classes]
+    member_count = 1 + sum(counts) - len(counts)
+    data = {
+        "member_count": member_count,
+        "class_supports": [
+            {"support": list(cls.support), "exponent": cls.exponent, "count": count}
+            for cls, count in zip(space.classes, counts)
+        ],
+    }
+    if member_count <= member_limit:
+        data["members"] = [
+            vector_to_json(space, v) for v in space.quasi_kernel().sorted_members()
+        ]
+    return data
 
 
 def quasi_kernel_closed_form(space):
@@ -484,8 +497,6 @@ def quasi_kernel_bruteforce(space):
     scalars alpha, beta some gamma has alpha v + beta v = gamma v.  The
     orbit lookup is ``_orbit_sums``, the resolver that also builds the
     definitional induced additions.  Exponential-cost oracle."""
-    if space.size > MAX_SPACE_SIZE:
-        raise TooLargeError(f"|V| = {space.size} exceeds {MAX_SPACE_SIZE}")
     zero = space.zero
     members = {
         v for v in space.iter_vectors()

@@ -75,9 +75,9 @@ class InducedAddition:
 
 
 def _require_quasi_nonzero(space, v):
-    if v == space.zero:
-        raise ZeroVectorError("the zero vector induces no addition")
-    if v not in space.quasi_kernel().members:
+    if space.class_of(v) is None:
+        if v == space.zero:
+            raise ZeroVectorError("the zero vector induces no addition")
         raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
 
 
@@ -519,7 +519,6 @@ class Decomposition:
 
     def component_of(self, v):
         """The component containing v, or None for mixed-support vectors."""
-        self.space.check_vector(v)
         cid = self.space.class_of(v)
         if cid is None:
             return None

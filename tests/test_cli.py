@@ -9,7 +9,7 @@ import pytest
 from conftest import CORPUS, get_space
 from nearvec import structure as st
 from nearvec.cli import main
-from nearvec.space import vector_to_json
+from nearvec.space import TwistedSpace, vector_to_json
 
 WORKED_CONFIG = {"p": 11, "r": 1, "modulus_poly": None, "exponents": [3, 7, 3]}
 FLAWED_CONFIG = {"p": 11, "r": 1, "modulus_poly": None, "exponents": [3, 5, 3]}
@@ -73,6 +73,20 @@ def test_qk_command(write_config, capsys):
     assert code == 0
     assert report["member_count"] == 131
     assert [c["count"] for c in report["class_supports"]] == [121, 11]
+
+
+def test_qk_counts_a_million_vectors_from_the_classes(write_config, capsys, monkeypatch):
+    # past the member limit the report only counts, so Q(V) is never built
+    def refuse(space):
+        raise AssertionError("qk enumerated the quasi-kernel")
+
+    monkeypatch.setattr(TwistedSpace, "quasi_kernel", refuse)
+    cfg = {"p": 101, "r": 1, "modulus_poly": None, "exponents": [1, 1, 1]}
+    code, report = run_json(capsys, ["qk", write_config(cfg), "--json"])
+    assert code == 0
+    assert report["member_count"] == 1030301
+    assert [c["count"] for c in report["class_supports"]] == [1030301]
+    assert "members" not in report
 
 
 def test_decompose_command(write_config, capsys):
@@ -243,6 +257,15 @@ def test_verify_raw_fixture_shape_exits_2(tmp_path, capsys, fixture, message):
 def test_verify_without_config_or_raw_exits_2(capsys):
     assert main(["verify"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["info", "qk", "decompose"])
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--max-size", "10"]], ids=str)
+def test_seed_and_max_size_are_verify_flags(write_config, capsys, command, flag):
+    with pytest.raises(SystemExit) as info:
+        main([command, write_config(WORKED_CONFIG), *flag])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_missing_file_exits_2(capsys):

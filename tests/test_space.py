@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from conftest import get_space
+from conftest import CORPUS, get_space
 from nearvec import near_field as nf
 from nearvec.errors import (
     InvalidConfigError,
@@ -23,6 +23,7 @@ from nearvec.space import (
     check_axioms_raw,
     quasi_kernel_bruteforce,
     quasi_kernel_closed_form,
+    quasi_kernel_report,
     vector_from_json,
     vector_to_json,
 )
@@ -202,6 +203,24 @@ class TestQuasiKernel:
         space = get_space(11, 1, (3, 7, 3))
         closure = additive_closure(space, space.quasi_kernel().sorted_members())
         assert len(closure) == space.size
+
+    @pytest.mark.parametrize("key", CORPUS, ids=str)
+    def test_class_membership_and_counts_match_bruteforce(self, key):
+        # class_of and quasi_kernel_report read Q(V) off the exponent
+        # classes; the brute-force scan knows nothing of the classes
+        space = get_space(*key)
+        brute = quasi_kernel_bruteforce(space)
+        by_class = {
+            v for v in space.iter_vectors()
+            if v == space.zero or space.class_of(v) is not None
+        }
+        assert by_class == brute.members
+        report = quasi_kernel_report(space, member_limit=0)
+        assert report["member_count"] == len(brute.members)
+        assert [c["count"] for c in report["class_supports"]] == [
+            len(sup) for sup in brute.class_supports
+        ]
+        assert "members" not in report
 
 
 Z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
@@ -400,7 +419,7 @@ class TestSerialization:
             vector_from_json(space, bad)
 
     def test_quasi_kernel_report(self):
-        qk = get_space(11, 1, (3, 7, 3)).quasi_kernel()
-        payload = qk.to_json()
+        payload = quasi_kernel_report(get_space(11, 1, (3, 7, 3)))
         assert payload["member_count"] == 131
+        assert len(payload["members"]) == 131
         assert json.loads(json.dumps(payload)) == payload

@@ -27,6 +27,7 @@ from nearvec.space import (
     additive_closure,
     quasi_kernel_bruteforce,
     quasi_kernel_closed_form,
+    quasi_kernel_report,
 )
 
 
@@ -445,16 +446,46 @@ class TestVectorValidation:
         lambda space: additive_closure(space, [(99, 0, 0)]),
         lambda space: st.decompose(space).component_of((99, 0, 0)),
         lambda space: st.decompose(space).split((99, 0, 0)),
+        lambda space: space.class_of((1, 0, 0, 1)),
+        lambda space: space.class_of((1, 0)),
     ], ids=["out_of_range", "short", "dim_short", "coords_negative", "non_int",
             "closure_oracle", "linear_combinations", "closure_naive",
             "is_subspace", "maximality_outsider", "from_coords",
-            "additive_closure", "component_of", "split"])
+            "additive_closure", "component_of", "split", "class_of_long",
+            "class_of_short"])
     def test_bad_vector_raises_invalid_vector_error(self, call):
         space = get_space(11, 1, (3, 7, 3))
         with pytest.raises(InvalidVectorError) as info:
             call(space)
         assert isinstance(info.value, ValueError)
         assert isinstance(info.value, NearVecError)
+
+
+MILLION_VECTOR_SPACES = [(Field(101), (1, 1, 1)), (Field(1031), (1, 1))]
+
+
+class TestQuasiKernelNotEnumerated:
+    """Membership in Q(V)* is ``class_of`` and the counts of Q(V) come
+    from the classes, so the closed-form routes leave Q(V) unbuilt on
+    spaces of about a million vectors."""
+
+    @pytest.fixture(params=MILLION_VECTOR_SPACES, ids=lambda key: repr(key[0]))
+    def space(self, request):
+        field, exponents = request.param
+        return TwistedSpace(field, exponents)
+
+    @pytest.mark.parametrize("call", [
+        lambda space: spn.CoordinateMap(space, space.standard_basis()).to_coords(
+            (1,) * space.n),
+        lambda space: spn.coordinates_in_independent_set(
+            space, space.standard_basis(), (2,) * space.n),
+        lambda space: st.induced_addition_closed_form(space, space.standard_basis()[0]),
+        quasi_kernel_report,
+    ], ids=["to_coords", "coordinates_in_independent_set",
+            "induced_addition_closed_form", "quasi_kernel_report"])
+    def test_quasi_kernel_is_not_built(self, space, call):
+        call(space)
+        assert space._quasi_kernel is None
 
 
 ABOVE_TABLE_LIMIT = [

@@ -263,15 +263,14 @@ class TwistedSpace:
         )))
 
     def check_vector(self, v):
-        """Raise InvalidVectorError unless v has n integer coordinates,
-        each an element index in [0, |F|)."""
-        try:
-            length = len(v)
-        except TypeError:
-            raise InvalidVectorError(f"{v!r} is not a vector") from None
-        if length != self.n:
+        """Raise InvalidVectorError unless v is a tuple of n integer
+        coordinates, each an element index in [0, |F|).  Vectors are
+        hashed into sets and memos, so a list is refused here."""
+        if not isinstance(v, tuple):
+            raise InvalidVectorError(f"{v!r} is not a vector: expected a tuple")
+        if len(v) != self.n:
             raise InvalidVectorError(
-                f"{v!r} has {length} coordinates, expected {self.n}"
+                f"{v!r} has {len(v)} coordinates, expected {self.n}"
             )
         order = self.field.order
         for i, x in enumerate(v):
@@ -298,6 +297,15 @@ class TwistedSpace:
         if len(cids) == 1:
             return next(iter(cids))
         return None
+
+    def class_members(self, cid):
+        """The |F|^|c| vectors supported inside exponent class cid, zero
+        included: the members of the class's regular component.  Q(V) is
+        the union of these sets over the classes."""
+        sup = self.classes[cid].support
+        return frozenset(product(*(
+            range(self.field.order) if i in sup else (0,) for i in range(self.n)
+        )))
 
     def class_parts(self, v):
         """{class index: v restricted to that class's support} for every
@@ -392,10 +400,9 @@ class QuasiKernel:
     enumerated: the oracles iterate it, while membership is
     ``TwistedSpace.class_of`` and the counts ``quasi_kernel_report``."""
 
-    def __init__(self, space, members, class_supports):
+    def __init__(self, space, members):
         self.space = space
         self.members = frozenset(members)
-        self.class_supports = tuple(frozenset(s) for s in class_supports)
         self._sorted = None
 
     @property
@@ -436,20 +443,11 @@ def quasi_kernel_report(space, member_limit=4096):
 
 def quasi_kernel_closed_form(space):
     """Q(V) as the union over exponent classes of the vectors supported
-    inside one class; equals the brute-force scan on every space."""
-    order = space.field.order
-    supports = []
-    members = set()
-    for cls in space.classes:
-        sup = set()
-        for combo in product(range(order), repeat=len(cls.support)):
-            v = [0] * space.n
-            for i, x in zip(cls.support, combo):
-                v[i] = x
-            sup.add(tuple(v))
-        supports.append(frozenset(sup))
-        members |= sup
-    return QuasiKernel(space, members, supports)
+    inside one class (``class_members``); equals the brute-force scan on
+    every space."""
+    return QuasiKernel(space, frozenset().union(
+        *map(space.class_members, range(len(space.classes)))
+    ))
 
 
 def _orbit_sums(space, v):
@@ -498,17 +496,10 @@ def quasi_kernel_bruteforce(space):
     orbit lookup is ``_orbit_sums``, the resolver that also builds the
     definitional induced additions.  Exponential-cost oracle."""
     zero = space.zero
-    members = {
+    return QuasiKernel(space, (
         v for v in space.iter_vectors()
         if v == zero or _orbit_sums(space, v)[1] is None
-    }
-    supports = []
-    for cls in space.classes:
-        sup_set = set(cls.support)
-        supports.append(
-            frozenset(v for v in members if set(space.support(v)) <= sup_set)
-        )
-    return QuasiKernel(space, members, supports)
+    ))
 
 
 def additive_closure(space, generators):

@@ -144,9 +144,10 @@ def subspace_closure_naive(space, generators, limit=512):
     """Literal fixed-point iteration W <- W + W union A.W; quadratic per
     round, so only for small closures, where it cross-checks the
     closure oracle from first principles."""
-    closure = set(generators) | {space.zero}
-    for g in closure:
+    generators = list(generators)
+    for g in generators:
         space.check_vector(g)
+    closure = set(generators) | {space.zero}
     add = space.add
     scalar_mul = space.scalar_mul
     scalars = range(space.field.order)
@@ -368,13 +369,14 @@ def extract_basis(space, reverse=False):
 
 def is_subspace(space, vectors):
     """Nonempty and closed under addition and the scalar action."""
+    vectors = list(vectors)
+    for v in vectors:
+        space.check_vector(v)
     subset = set(vectors)
     if not subset:
         return False
     if len(subset) > MAX_SPACE_SIZE:
         raise TooLargeError("subset too large for the closure scan")
-    for v in subset:
-        space.check_vector(v)
     add = space.add
     scalar_mul = space.scalar_mul
     for v in subset:

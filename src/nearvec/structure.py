@@ -5,8 +5,10 @@ via (a +_v b) v = a v + b v.  The addition only depends on the exponent
 class of v's support, the vectors sharing one addition form the regular
 components, and V is their direct sum.
 
-``decompose`` is the fast route: each component takes its addition from
-the class twist formula (``induced_addition_closed_form``).  Everything
+``decompose`` is the fast route: each component is read off its
+exponent class, with its addition from the class twist formula
+(``induced_addition_closed_form``) and its members enumerated only when
+read, and the direct sum is certified from the classes.  Everything
 else here is definitional: ``induced_addition``, ``induced_nearfield``,
 ``kernel``, ``maximality_witness``, ``regularity_equivalences`` and the
 key lemma check ``verify_shared_addition`` build their tables from the
@@ -25,6 +27,7 @@ not mutate them.
 """
 
 import operator
+from functools import cached_property
 
 from .errors import (
     HypothesisUnmetError,
@@ -162,11 +165,13 @@ def are_compatible(space, u, v):
 
 
 def _first_compatible(space, u, multiples):
-    """The first unit lambda with u + multiples[lambda] in Q(V), or None."""
-    members = space.quasi_kernel().members
+    """The first unit lambda with u + multiples[lambda] in Q(V), or None;
+    membership is ``class_of``, so Q(V) is not enumerated."""
     add = space.add
+    zero = space.zero
     for lam in range(1, len(multiples)):
-        if add(u, multiples[lam]) in members:
+        w = add(u, multiples[lam])
+        if w == zero or space.class_of(w) is not None:
             return lam
     return None
 
@@ -469,27 +474,37 @@ def regularity_equivalences(space):
 
 
 class RegularComponent:
-    """A maximal subspace whose nonzero vectors share one induced addition."""
+    """The regular component of one exponent class: the |F|^|c| vectors
+    supported inside the class, whose nonzero vectors share one induced
+    addition.  The basis is the support's slice of the standard basis,
+    the addition the class twist formula at its first basis vector, and
+    ``members`` the class's vectors, enumerated by
+    ``TwistedSpace.class_members`` on first read.  ``decompose`` passes
+    each class's own support, which ``_certify_decomposition`` checks."""
 
-    def __init__(self, space, class_id, support, members, induced, basis):
+    def __init__(self, space, class_id, support):
         self.space = space
         self.class_id = class_id
         self.support = support
-        self.members = members
-        self.induced = induced
-        self.basis = basis
+        self.basis = tuple(space.standard_basis()[i] for i in support)
+        self.induced = induced_addition_closed_form(space, self.basis[0])
+        self.member_count = space.field.order ** len(support)
+
+    @cached_property
+    def members(self):
+        return self.space.class_members(self.class_id)
 
     def __len__(self):
-        return len(self.members)
+        return self.member_count
 
     def to_json(self, member_limit=4096):
         data = {
             "class_id": self.class_id,
             "support": list(self.support),
-            "member_count": len(self.members),
+            "member_count": self.member_count,
             "basis": [vector_to_json(self.space, b) for b in self.basis],
         }
-        if len(self.members) <= member_limit:
+        if self.member_count <= member_limit:
             data["members"] = [
                 vector_to_json(self.space, v) for v in sorted(self.members)
             ]
@@ -535,15 +550,16 @@ class Decomposition:
 
 
 def decompose(space, enumeration=None):
-    """Materialise the regular components, one per exponent class.
+    """The regular components, one per exponent class, each read off its
+    class (``RegularComponent``) with no vector enumerated.
 
-    This is the closed-form route: the members come from the quasi-kernel
-    class supports, and each component's addition from the class twist
-    formula a +_v b = (a^q + b^q)^(1/q) at the class's first standard
-    basis vector.  ``maximality_witness`` and the tests check that
-    addition against the definitional orbit table.  The direct sum is
-    certified in closed form (``_certify_decomposition``); the
-    per-vector reassembly is the oracle ``split_oracle_failure``.
+    This is the closed-form route: a component's addition comes from the
+    class twist formula a +_v b = (a^q + b^q)^(1/q) at the class's first
+    standard basis vector, which ``maximality_witness`` and the tests
+    check against the definitional orbit table.  The direct sum is
+    certified from the classes and one reassembly
+    (``_certify_decomposition``); the per-vector reassembly is the
+    oracle ``split_oracle_failure``.
 
     ``enumeration`` optionally reorders the coordinates used to derive
     the classes; the resulting component set must not change (this is
@@ -551,27 +567,11 @@ def decompose(space, enumeration=None):
     InvalidEnumerationError unless it is a permutation of range(n).
     """
     coords = _coordinate_order(space, enumeration)
-    seen = {}
-    class_order = []
-    for i in coords:
-        cid = space._class_of_coord[i]
-        if cid not in seen:
-            seen[cid] = True
-            class_order.append(cid)
-
-    class_supports = space.quasi_kernel().class_supports
-    components = []
-    basis = space.standard_basis()
-    for cid in class_order:
-        sup = space.classes[cid].support
-        rep = basis[min(sup)]
-        induced = induced_addition_closed_form(space, rep)
-        comp_basis = tuple(basis[i] for i in sorted(sup))
-        components.append(
-            RegularComponent(space, cid, sup, class_supports[cid], induced, comp_basis)
-        )
-
-    deco = Decomposition(space, tuple(components))
+    class_order = dict.fromkeys(space._class_of_coord[i] for i in coords)
+    deco = Decomposition(space, tuple(
+        RegularComponent(space, cid, space.classes[cid].support)
+        for cid in class_order
+    ))
     _certify_decomposition(space, deco)
     return deco
 
@@ -594,11 +594,16 @@ def _coordinate_order(space, enumeration):
 
 
 def _certify_decomposition(space, deco):
-    """Certify V as the direct sum of ``deco``'s components in
-    O(n k + |Q|), raising InvariantError on the first check that fails:
-    the component sizes multiply to |V|, the supports partition
-    range(n), the all-ones vector reassembles, and the nonzero members
-    partition Q(V)*, each named with the least vector breaching it.
+    """Certify V as the direct sum of ``deco``'s components in O(n k),
+    for n coordinates and k components, raising InvariantError on the
+    first check that fails: the supports partition range(n), each
+    component's support is its exponent class's, and the all-ones
+    vector reassembles.
+
+    A component's members are the vectors supported inside its class, so
+    the first two checks give one component per class.  Their sizes then
+    multiply to |V|, and their nonzero members partition Q(V)*, the
+    nonzero class-supported vectors.
 
     ``space.add`` and ``Decomposition._split`` both work one coordinate
     at a time: part j keeps the coordinates in support j and zeroes the
@@ -611,37 +616,20 @@ def _certify_decomposition(space, deco):
     ``split_oracle_failure`` is the per-vector oracle, run by
     ``verify.decomposition_suite``.
     """
-    sizes = 1
-    for comp in deco.components:
-        sizes *= len(comp.members)
-    if sizes != space.size:
-        raise InvariantError("component sizes do not multiply to |V|")
     supports = [list(comp.support) for comp in deco.components]
     if sorted(i for sup in supports for i in sup) != list(range(space.n)):
         raise InvariantError(
             f"component supports {supports} do not partition range({space.n})"
         )
+    for comp in deco.components:
+        if comp.support != space.classes[comp.class_id].support:
+            raise InvariantError(
+                f"component support {comp.support} is not the support of "
+                f"class {comp.class_id}"
+            )
     probe = (1,) * space.n
     if _reassembled(space, deco, probe) != probe:
         raise InvariantError(f"splitting failed to reassemble {probe}")
-    qk = space.quasi_kernel()
-    covered = set()
-    for comp in deco.components:
-        outside = comp.members - qk.members
-        if outside:
-            raise InvariantError(
-                f"component is not contained in the quasi-kernel: {min(outside)}"
-            )
-        nonzero = comp.members - {space.zero}
-        shared = covered & nonzero
-        if shared:
-            raise InvariantError(
-                f"quasi-kernel vectors shared between components: {min(shared)}"
-            )
-        covered |= nonzero
-    missing = qk.nonzero - covered
-    if missing:
-        raise InvariantError(f"components do not cover the quasi-kernel: {min(missing)}")
 
 
 def split_oracle_failure(space, deco):
@@ -668,10 +656,13 @@ def maximality_witness(space, component, outsider):
     """Evidence that adjoining ``outsider`` breaks the component's shared
     addition: either it has no induced addition at all (a scalar pair
     escapes its orbit) or its definitional table differs from the
-    component's closed-form one."""
-    space.check_vector(outsider)
-    if outsider in component.members:
-        raise ValueError("witness requested for an inside vector")
+    component's closed-form one.  HypothesisUnmetError for a vector
+    inside the component: zero, or a vector of its class."""
+    cid = space.class_of(outsider)
+    if outsider == space.zero or cid == component.class_id:
+        raise HypothesisUnmetError(
+            f"{outsider} lies inside the component of class {component.class_id}"
+        )
     # a memo hit is a vector of Q(V) resolved to this very table
     table = space._addition_tables.get(outsider)
     if table is None:

@@ -220,7 +220,12 @@ def decomposition_suite(space, seed=0, max_size=None):
     max_witness = None
     rng = random.Random(seed)
     for comp in deco.components:
-        outsiders = [v for v in space.vectors() if v not in comp.members]
+        # the vectors ``maximality_witness`` takes as outside: nonzero and
+        # not of the component's class
+        outsiders = [
+            v for v in space.vectors()
+            if v != space.zero and space.class_of(v) != comp.class_id
+        ]
         if space.size > limit and len(outsiders) > SPAN_SAMPLE:
             outsiders = rng.sample(outsiders, SPAN_SAMPLE)
         for m in outsiders:
@@ -239,8 +244,8 @@ def _class_placement_breach(space, deco):
     """The least vector placed against the exponent classes, or None:
     a nonzero member outside Q(V), or a vector of Q(V)* not held by
     exactly one component, the one of the class ``space.class_of``
-    gives it.  This reads the coordinate-to-class map, where the
-    components' members come from the class supports."""
+    gives it.  This reads the coordinate-to-class map and the members
+    as each component holds them."""
     holders = {}
     for comp in deco.components:
         for m in comp.members:

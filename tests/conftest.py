@@ -4,6 +4,7 @@ from functools import lru_cache
 
 from nearvec.finite_field import Field
 from nearvec.space import TwistedSpace
+from nearvec.structure import decompose
 
 # irreducible moduli used throughout (verified at construction)
 MODULI = {
@@ -115,3 +116,19 @@ def corpus_spaces():
 def sweep_spaces():
     """The corpus members belonging to the p/r sweep (no char-2 extras)."""
     return [get_space(*entry) for entry in CORPUS if entry[0] in SWEEP_PRIMES]
+
+
+def check_components_against_bruteforce(space, brute):
+    """Assert that each ``decompose`` component holds, and counts, exactly
+    the members of the brute-force Q(V) supported inside its class;
+    return those counts in class order."""
+    components = {c.class_id: c for c in decompose(space).components}
+    counts = []
+    for cls in space.classes:
+        sup = set(cls.support)
+        part = {v for v in brute.members if sup.issuperset(space.support(v))}
+        comp = components[cls.index]
+        assert comp.members == part, (space, cls.index)
+        assert comp.member_count == len(part), (space, cls.index)
+        counts.append(len(part))
+    return counts

@@ -96,6 +96,22 @@ def test_decompose_command(write_config, capsys):
     assert counts == [11, 121]
 
 
+def test_decompose_reads_a_million_vectors_off_the_class(write_config, capsys, monkeypatch):
+    # the direct sum is certified from the classes, and one component of
+    # 1030301 members is too large to list, so no vector is enumerated
+    def refuse(space):
+        raise AssertionError("decompose enumerated the quasi-kernel")
+
+    monkeypatch.setattr(TwistedSpace, "quasi_kernel", refuse)
+    cfg = {"p": 101, "r": 1, "modulus_poly": None, "exponents": [1, 1, 1]}
+    code, report = run_json(capsys, ["decompose", write_config(cfg), "--json"])
+    assert code == 0
+    assert report["component_count"] == 1
+    [component] = report["components"]
+    assert component["member_count"] == 1030301
+    assert "members" not in component
+
+
 def test_span_command(write_config, capsys):
     code, report = run_json(
         capsys, ["span", write_config(WORKED_CONFIG), "[2,5,6]", "--json"]

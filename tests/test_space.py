@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from conftest import CORPUS, get_space
+from conftest import CORPUS, check_components_against_bruteforce, get_space
 from nearvec import near_field as nf
 from nearvec.errors import (
     InvalidConfigError,
@@ -184,13 +184,14 @@ class TestQuasiKernel:
 
     def test_class_supports_partition(self):
         space = get_space(11, 1, (3, 7, 3))
-        qk = space.quasi_kernel()
+        check_components_against_bruteforce(space, quasi_kernel_bruteforce(space))
+        parts = [space.class_members(cls.index) for cls in space.classes]
         union = set()
-        for i, sup in enumerate(qk.class_supports):
-            for j in range(i + 1, len(qk.class_supports)):
-                assert sup & qk.class_supports[j] == {space.zero}
-            union |= sup
-        assert union == qk.members
+        for i, part in enumerate(parts):
+            for other in parts[i + 1:]:
+                assert part & other == {space.zero}
+            union |= part
+        assert union == space.quasi_kernel().members
 
     def test_closed_under_scalars(self):
         space = get_space(11, 1, (3, 7, 3))
@@ -217,9 +218,8 @@ class TestQuasiKernel:
         assert by_class == brute.members
         report = quasi_kernel_report(space, member_limit=0)
         assert report["member_count"] == len(brute.members)
-        assert [c["count"] for c in report["class_supports"]] == [
-            len(sup) for sup in brute.class_supports
-        ]
+        assert [c["count"] for c in report["class_supports"]] == (
+            check_components_against_bruteforce(space, brute))
         assert "members" not in report
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as hst
 
-from conftest import get_space
+from conftest import check_components_against_bruteforce, get_space
 from nearvec import near_field as nf
 from nearvec import span as spn
 from nearvec import structure as st
@@ -230,7 +230,7 @@ class TestQuasiKernelSweep:
         brute = quasi_kernel_bruteforce(space)
         closed = quasi_kernel_closed_form(space)
         assert brute.members == closed.members
-        assert brute.class_supports == closed.class_supports
+        check_components_against_bruteforce(space, brute)
         basis = space.standard_basis()
         for cls in space.classes:
             v = basis[cls.support[0]]
@@ -448,11 +448,26 @@ class TestVectorValidation:
         lambda space: st.decompose(space).split((99, 0, 0)),
         lambda space: space.class_of((1, 0, 0, 1)),
         lambda space: space.class_of((1, 0)),
+        # a list is no vector: it would not hash into a set or a memo
+        lambda space: st.kernel(space, [1, 0, 0]),
+        lambda space: st.induced_addition(space, [1, 0, 0]),
+        lambda space: st.induced_nearfield(space, [1, 0, 0]),
+        lambda space: st.maximality_witness(
+            space, st.decompose(space).components[0], [0, 1, 0]),
+        lambda space: st.verify_shared_addition(
+            space, space.standard_basis(), [1, 0, 0], (0, 0, 1)),
+        lambda space: spn.dim_search(space, [1, 0, 0]),
+        lambda space: spn.is_subspace(space, [[0, 0, 0], [1, 0, 0]]),
+        lambda space: spn.subspace_closure_naive(space, [[1, 0, 0]]),
+        lambda space: additive_closure(space, [[1, 0, 0]]),
     ], ids=["out_of_range", "short", "dim_short", "coords_negative", "non_int",
             "closure_oracle", "linear_combinations", "closure_naive",
             "is_subspace", "maximality_outsider", "from_coords",
             "additive_closure", "component_of", "split", "class_of_long",
-            "class_of_short"])
+            "class_of_short", "kernel_list", "induced_addition_list",
+            "induced_nearfield_list", "maximality_outsider_list",
+            "verify_shared_addition_list", "dim_search_list",
+            "is_subspace_list", "closure_naive_list", "additive_closure_list"])
     def test_bad_vector_raises_invalid_vector_error(self, call):
         space = get_space(11, 1, (3, 7, 3))
         with pytest.raises(InvalidVectorError) as info:
@@ -465,9 +480,9 @@ MILLION_VECTOR_SPACES = [(Field(101), (1, 1, 1)), (Field(1031), (1, 1))]
 
 
 class TestQuasiKernelNotEnumerated:
-    """Membership in Q(V)* is ``class_of`` and the counts of Q(V) come
-    from the classes, so the closed-form routes leave Q(V) unbuilt on
-    spaces of about a million vectors."""
+    """Membership in Q(V)* is ``class_of``, and the counts of Q(V) and
+    the regular components come from the classes, so the closed-form
+    routes leave Q(V) unbuilt on spaces of about a million vectors."""
 
     @pytest.fixture(params=MILLION_VECTOR_SPACES, ids=lambda key: repr(key[0]))
     def space(self, request):
@@ -481,8 +496,11 @@ class TestQuasiKernelNotEnumerated:
             space, space.standard_basis(), (2,) * space.n),
         lambda space: st.induced_addition_closed_form(space, space.standard_basis()[0]),
         quasi_kernel_report,
+        lambda space: st.decompose(space).to_json(),
+        lambda space: st.are_compatible(space, *space.standard_basis()[:2]),
     ], ids=["to_coords", "coordinates_in_independent_set",
-            "induced_addition_closed_form", "quasi_kernel_report"])
+            "induced_addition_closed_form", "quasi_kernel_report",
+            "decompose", "are_compatible"])
     def test_quasi_kernel_is_not_built(self, space, call):
         call(space)
         assert space._quasi_kernel is None

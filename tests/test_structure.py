@@ -441,32 +441,30 @@ class TestDecomposition:
     @pytest.mark.parametrize("supports", [((0, 2), (1, 2)), ((0,), (1,))], ids=repr)
     def test_certificate_refuses_supports_that_do_not_partition(self, supports):
         # GF(11)(3,7,3) splits into supports (0, 2) and (1,); moving the
-        # supports keeps the member sets, so only the support check fails
+        # supports keeps the class ids, and the partition is checked first
         space = TwistedSpace(Field(11), (3, 7, 3))
         deco = st.decompose(space)
         moved = st.Decomposition(space, tuple(
-            st.RegularComponent(space, c.class_id, sup, c.members, c.induced, c.basis)
+            st.RegularComponent(space, c.class_id, sup)
             for c, sup in zip(deco.components, supports)
         ))
         with pytest.raises(InvariantError, match="do not partition range"):
             st._certify_decomposition(space, moved)
 
-    def test_certificate_refuses_members_that_do_not_partition(self):
+    def test_members_that_do_not_partition_are_refused(self):
         space = TwistedSpace(Field(11), (3, 7, 3))
         big, small = st.decompose(space).components
         shared = st.Decomposition(space, (big, big))
-        with pytest.raises(InvariantError, match="sizes"):
+        with pytest.raises(InvariantError, match="do not partition range"):
             st._certify_decomposition(space, shared)
         # (0, 1, 0) in place of (1, 0, 0) in the 121-member component:
-        # the sizes still multiply to |V|, and (0, 1, 0) lies in both
-        swapped = st.Decomposition(space, (
-            st.RegularComponent(space, big.class_id, big.support,
-                                (big.members - {(1, 0, 0)}) | {(0, 1, 0)},
-                                big.induced, big.basis),
-            small,
-        ))
-        with pytest.raises(InvariantError, match=r"shared between components: \(0, 1, 0\)"):
-            st._certify_decomposition(space, swapped)
+        # the certificate reads the classes, not the member sets, so the
+        # per-vector placement oracle names (0, 1, 0), which lies in both
+        swapped = st.RegularComponent(space, big.class_id, big.support)
+        swapped.members = (big.members - {(1, 0, 0)}) | {(0, 1, 0)}
+        deco = st.Decomposition(space, (swapped, small))
+        st._certify_decomposition(space, deco)
+        assert verify._class_placement_breach(space, deco) == (0, 1, 0)
 
     def test_certificate_reassembles_the_all_ones_vector(self, monkeypatch):
         space = TwistedSpace(Field(11), (3, 7, 3))
@@ -529,11 +527,9 @@ class TestDecomposition:
         def dropping(space_, enumeration=None):
             # the components as decompose builds them, less (0, 0, 5)
             deco = decompose(space_, enumeration)
-            return st.Decomposition(space_, tuple(
-                st.RegularComponent(space_, c.class_id, c.support,
-                                    c.members - {(0, 0, 5)}, c.induced, c.basis)
-                for c in deco.components
-            ))
+            for c in deco.components:
+                c.members = c.members - {(0, 0, 5)}
+            return deco
 
         monkeypatch.setattr(st, "decompose", dropping)
         checks = {c["name"]: c for c in verify.decomposition_suite(space)["checks"]}
@@ -543,16 +539,20 @@ class TestDecomposition:
         assert checks["direct_sum_split"]["pass"]
 
     def test_partition_check_reads_the_class_map(self):
-        # swapping the two components' class ids keeps every member set,
-        # so the certificate passes, but the class map places (0, 0, 1),
-        # supported on class 0's coordinate 2, in the other component
+        # swapping the two components' class ids, each keeping its member
+        # set: the certificate finds support (0, 2) on class 1, and the
+        # class map places (0, 0, 1), supported on class 0's coordinate
+        # 2, in the other component
         space = TwistedSpace(Field(11), (3, 7, 3))
         big, small = st.decompose(space).components
-        swapped = st.Decomposition(space, tuple(
-            st.RegularComponent(space, cid, c.support, c.members, c.induced, c.basis)
-            for c, cid in ((big, small.class_id), (small, big.class_id))
-        ))
-        st._certify_decomposition(space, swapped)
+        components = []
+        for c, cid in ((big, small.class_id), (small, big.class_id)):
+            comp = st.RegularComponent(space, cid, c.support)
+            comp.members = c.members
+            components.append(comp)
+        swapped = st.Decomposition(space, tuple(components))
+        with pytest.raises(InvariantError, match=r"\(0, 2\) is not the support of class 1"):
+            st._certify_decomposition(space, swapped)
         assert verify._class_placement_breach(space, swapped) == (0, 0, 1)
         assert verify._class_placement_breach(space, st.decompose(space)) is None
 
@@ -607,6 +607,15 @@ class TestDecomposition:
                 witness = st.maximality_witness(space, comp, m)
                 assert witness == ("not_in_quasi_kernel", first_escape(space, m)) == (
                     "not_in_quasi_kernel", (1, 1)), (exponents, m)
+
+    @pytest.mark.parametrize("inside", [(0, 0, 0), (1, 0, 0)], ids=str)
+    def test_maximality_witness_refuses_an_inside_vector(self, inside):
+        # "inside" is read off the class, so the member set is not built
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        comp = st.decompose(space).components[0]
+        with pytest.raises(HypothesisUnmetError, match="inside the component"):
+            st.maximality_witness(space, comp, inside)
+        assert "members" not in vars(comp)
 
     def test_maximality_witness_reads_the_addition_memo(self, monkeypatch):
         # a memoised outsider is not resolved again, and its witness is

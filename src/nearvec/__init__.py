@@ -6,7 +6,6 @@ from .errors import (
     HypothesisUnmetError,
     InvalidConfigError,
     InvalidElementError,
-    InvalidEnumerationError,
     InvalidMapError,
     InvalidSlotError,
     InvalidVectorError,
@@ -45,7 +44,6 @@ __all__ = [
     "HypothesisUnmetError",
     "InvalidConfigError",
     "InvalidElementError",
-    "InvalidEnumerationError",
     "InvalidMapError",
     "InvalidSlotError",
     "InvalidVectorError",

@@ -1,10 +1,13 @@
 """Command-line front door: structural queries and verification suites.
 
-Exit codes: 0 success, 1 a verification failed, 2 invalid input.
+Exit codes: 0 success, 1 a verification failed, 2 invalid input, 141
+stdout closed by the reader (the code a shell reports for a writer
+stopped by SIGPIPE).
 """
 
 import argparse
 import json
+import os
 import sys
 
 from . import span as span_mod
@@ -228,7 +231,11 @@ def main(argv=None):
         print("error: verify needs a config file or --raw fixture", file=sys.stderr)
         return 2
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        # flush inside the try, so a reader that is already gone is caught
+        # below however much output the buffer held
+        sys.stdout.flush()
+        return code
     except NotCoprimeError as exc:
         detail = {
             "error": "NotCoprime",
@@ -243,6 +250,11 @@ def main(argv=None):
         }
         print(json.dumps(detail, indent=2, sort_keys=True), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader is gone: send the rest of the output, and the flush
+        # at exit, to devnull so that neither raises again
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except (NearVecError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -60,10 +60,6 @@ class InvalidSlotError(NearVecError, IndexError):
     """A basis slot is not an integer in range(n)."""
 
 
-class InvalidEnumerationError(NearVecError, ValueError):
-    """A coordinate enumeration is not a permutation of range(n)."""
-
-
 class InvalidConfigError(NearVecError, ValueError):
     """A space config is not a JSON object of the expected shape: a key
     is missing or holds a value of the wrong type."""

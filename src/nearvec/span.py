@@ -20,7 +20,7 @@ from .errors import (
     NotInQuasiKernelError,
     TooLargeError,
 )
-from .space import MAX_SPACE_SIZE, additive_closure, vector_to_json
+from .space import additive_closure, vector_to_json
 
 INDEPENDENCE_SCAN_LIMIT = 1 << 22
 
@@ -349,16 +349,13 @@ def is_linearly_independent(space, vectors):
     return True, None
 
 
-def extract_basis(space, reverse=False):
+def extract_basis(space):
     """Greedy basis extraction from the quasi-kernel in enumeration
     order; a candidate is dependent on the picks exactly when it already
     lies in their span."""
-    candidates = space.quasi_kernel().sorted_nonzero()
-    if reverse:
-        candidates = list(reversed(candidates))
     basis = []
     members = {space.zero}
-    for v in candidates:
+    for v in space.quasi_kernel().sorted_nonzero():
         if v not in members:
             basis.append(v)
             members = span_of(space, basis).members
@@ -375,8 +372,6 @@ def is_subspace(space, vectors):
     subset = set(vectors)
     if not subset:
         return False
-    if len(subset) > MAX_SPACE_SIZE:
-        raise TooLargeError("subset too large for the closure scan")
     add = space.add
     scalar_mul = space.scalar_mul
     for v in subset:

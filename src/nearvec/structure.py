@@ -6,8 +6,8 @@ class of v's support, the vectors sharing one addition form the regular
 components, and V is their direct sum.
 
 ``decompose`` is the fast route: each component is read off its
-exponent class, with its addition from the class twist formula
-(``induced_addition_closed_form``) and its members enumerated only when
+exponent class, its addition from the class twist formula
+(``induced_addition_closed_form``) and its members both built only when
 read, and the direct sum is certified from the classes.  Everything
 else here is definitional: ``induced_addition``, ``induced_nearfield``,
 ``kernel``, ``maximality_witness``, ``regularity_equivalences`` and the
@@ -31,7 +31,6 @@ from functools import cached_property
 
 from .errors import (
     HypothesisUnmetError,
-    InvalidEnumerationError,
     InvariantError,
     NotInQuasiKernelError,
     ZeroVectorError,
@@ -479,16 +478,21 @@ class RegularComponent:
     addition.  The basis is the support's slice of the standard basis,
     the addition the class twist formula at its first basis vector, and
     ``members`` the class's vectors, enumerated by
-    ``TwistedSpace.class_members`` on first read.  ``decompose`` passes
-    each class's own support, which ``_certify_decomposition`` checks."""
+    ``TwistedSpace.class_members``.  Both are built on first read, so a
+    field above CLASS_TABLE_LIMIT decomposes and is refused only when
+    ``induced`` is read.  ``decompose`` passes each class's own support,
+    which ``_certify_decomposition`` checks."""
 
     def __init__(self, space, class_id, support):
         self.space = space
         self.class_id = class_id
         self.support = support
         self.basis = tuple(space.standard_basis()[i] for i in support)
-        self.induced = induced_addition_closed_form(space, self.basis[0])
         self.member_count = space.field.order ** len(support)
+
+    @cached_property
+    def induced(self):
+        return induced_addition_closed_form(self.space, self.basis[0])
 
     @cached_property
     def members(self):
@@ -549,9 +553,10 @@ class Decomposition:
         }
 
 
-def decompose(space, enumeration=None):
-    """The regular components, one per exponent class, each read off its
-    class (``RegularComponent``) with no vector enumerated.
+def decompose(space):
+    """The regular components, one per exponent class in class order,
+    each read off its class (``RegularComponent``) with no vector
+    enumerated.
 
     This is the closed-form route: a component's addition comes from the
     class twist formula a +_v b = (a^q + b^q)^(1/q) at the class's first
@@ -560,37 +565,12 @@ def decompose(space, enumeration=None):
     certified from the classes and one reassembly
     (``_certify_decomposition``); the per-vector reassembly is the
     oracle ``split_oracle_failure``.
-
-    ``enumeration`` optionally reorders the coordinates used to derive
-    the classes; the resulting component set must not change (this is
-    the uniqueness check the test-suite runs with a reversed order).
-    InvalidEnumerationError unless it is a permutation of range(n).
     """
-    coords = _coordinate_order(space, enumeration)
-    class_order = dict.fromkeys(space._class_of_coord[i] for i in coords)
     deco = Decomposition(space, tuple(
-        RegularComponent(space, cid, space.classes[cid].support)
-        for cid in class_order
+        RegularComponent(space, c.index, c.support) for c in space.classes
     ))
     _certify_decomposition(space, deco)
     return deco
-
-
-def _coordinate_order(space, enumeration):
-    if enumeration is None:
-        return range(space.n)
-    try:
-        coords = list(enumeration)
-    except TypeError:
-        raise InvalidEnumerationError(
-            f"enumeration must be a sequence of coordinates, got {enumeration!r}"
-        ) from None
-    # type(i) is int: a bool is no coordinate, and a mixed list would not sort
-    if not all(type(i) is int for i in coords) or sorted(coords) != list(range(space.n)):
-        raise InvalidEnumerationError(
-            f"enumeration must be a permutation of range({space.n}), got {coords!r}"
-        )
-    return coords
 
 
 def _certify_decomposition(space, deco):

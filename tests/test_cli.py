@@ -1,6 +1,9 @@
 """End-to-end CLI tests: commands, exit codes and JSON output."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -287,6 +290,34 @@ def test_seed_and_max_size_are_verify_flags(write_config, capsys, command, flag)
 def test_missing_file_exits_2(capsys):
     assert main(["info", "/nonexistent/config.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_SETPIPE_SZ is Linux-only")
+@pytest.mark.parametrize("command, read", [("qk", 10), ("info", 0)])
+def test_closed_stdout_exits_141_quietly(write_config, command, read):
+    """A reader that closes the pipe early is no input error.  qk on
+    GF(11)^3 (1,1,1) writes about 52 kB of JSON, which a one-page pipe
+    holds back until the reader has read 10 bytes and gone; info's few
+    hundred bytes wait in the output buffer until main flushes it."""
+    import fcntl
+
+    config = write_config({"p": 11, "r": 1, "modulus_poly": None, "exponents": [1, 1, 1]})
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nearvec.cli", command, config, "--json"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    assert len(os.read(read_end, read)) == read
+    os.close(read_end)
+    _, stderr = proc.communicate(timeout=60)
+    assert stderr == b""
+    assert proc.returncode == 141
 
 
 @pytest.mark.parametrize("config, message", [

@@ -15,15 +15,13 @@ from nearvec import structure as st
 from nearvec import verify
 from nearvec.errors import (
     HypothesisUnmetError,
-    InvalidEnumerationError,
     InvariantError,
-    NearVecError,
     NotInQuasiKernelError,
     TooLargeError,
     ZeroVectorError,
 )
 from nearvec.finite_field import TABLE_LIMIT, Field
-from nearvec.space import CLASS_TABLE_LIMIT, TwistedSpace
+from nearvec.space import CLASS_TABLE_LIMIT, ExponentClass, TwistedSpace
 
 
 class TestInducedAddition:
@@ -422,21 +420,38 @@ class TestDecomposition:
         assert seen == qk.nonzero
 
     def test_unique_under_reversed_enumeration(self):
-        for key in [(11, 1, (3, 7, 3)), (13, 1, (1, 5, 7)), (3, 2, (1, 1, 5))]:
+        # the space with its coordinates reversed splits into the same
+        # components once each vector is reversed back
+        for key in [(11, 1, (3, 3, 7)), (13, 1, (1, 5, 7)), (3, 2, (1, 1, 5))]:
             space = get_space(*key)
+            mirrored = TwistedSpace(space.field, space.exponents[::-1])
             fwd = st.decompose(space)
-            rev = st.decompose(space, enumeration=list(reversed(range(space.n))))
+            rev = st.decompose(mirrored)
             assert {c.members for c in fwd.components} == {
-                c.members for c in rev.components
+                frozenset(v[::-1] for v in c.members) for c in rev.components
             }
 
-    @pytest.mark.parametrize("enumeration", [[0, 1, "a"], 5, [0, 1, 1]], ids=repr)
-    def test_enumeration_must_be_a_permutation(self, enumeration):
-        space = get_space(11, 1, (3, 7, 3))
-        with pytest.raises(InvalidEnumerationError, match="enumeration") as info:
-            st.decompose(space, enumeration=enumeration)
-        assert isinstance(info.value, NearVecError)
-        assert isinstance(info.value, ValueError)
+    def test_uniqueness_check_fails_on_an_order_dependent_grouping(self, monkeypatch):
+        # classes that always set coordinate 0 apart depend on the
+        # coordinate order: GF(11)(3,3,7) splits as (0,), (1,), (2,), its
+        # reversal (7,3,3) as (0,), (1, 2), which maps back to (2,), (0, 1)
+        compute_classes = TwistedSpace._compute_classes
+
+        def coordinate_zero_alone(self):
+            rest = (tuple(i for i in c.support if i) for c in compute_classes(self))
+            return tuple(
+                ExponentClass(index=j, support=sup, exponent=self.exponents[sup[0]])
+                for j, sup in enumerate([(0,)] + [sup for sup in rest if sup])
+            )
+
+        monkeypatch.setattr(TwistedSpace, "_compute_classes", coordinate_zero_alone)
+        space = TwistedSpace(Field(11), (3, 3, 7))
+        assert [c.support for c in space.classes] == [(0,), (1,), (2,)]
+        checks = {c["name"]: c for c in verify.decomposition_suite(space)["checks"]}
+        assert checks["unique_under_reversed_enumeration"] == {
+            "name": "unique_under_reversed_enumeration", "pass": False,
+            "witness": [[0], [0, 1], [1]],
+        }
 
     @pytest.mark.parametrize("supports", [((0, 2), (1, 2)), ((0,), (1,))], ids=repr)
     def test_certificate_refuses_supports_that_do_not_partition(self, supports):
@@ -487,9 +502,9 @@ class TestDecomposition:
         split = st.Decomposition._split
 
         def lossy(self, v):
-            # drop the last part, the (1,) component's in both coordinate
-            # orders, of vectors with a zero coordinate: the certificate's
-            # all-ones vector reassembles and (0, 1, 0) is the first lost
+            # drop the last part, the (1,) component's, of vectors with a
+            # zero coordinate: the certificate's all-ones vector
+            # reassembles and (0, 1, 0) is the first lost
             parts = split(self, v)
             return parts[:-1] if 0 in v else parts
 
@@ -500,33 +515,16 @@ class TestDecomposition:
         assert not result["pass"]
         assert result["checks"][0] == {
             "name": "direct_sum_split", "pass": False, "witness": [0, 1, 0],
-            "components": 2, "order": "forward",
-        }
-
-    def test_split_oracle_runs_the_reversed_order(self, monkeypatch):
-        # GF(5)(1,3) has classes (0,) and (1,), listed in the reverse
-        # order under the reversed enumeration; only that split loses the
-        # last part, the (0,) component's, so (1, 0) is the first lost
-        space = TwistedSpace(Field(5), (1, 3))
-        split = st.Decomposition._split
-
-        def lossy(self, v):
-            parts = split(self, v)
-            return parts[:-1] if self.components[0].support == (1,) and 0 in v else parts
-
-        monkeypatch.setattr(st.Decomposition, "_split", lossy)
-        assert verify.decomposition_suite(space)["checks"][0] == {
-            "name": "direct_sum_split", "pass": False, "witness": [1, 0],
-            "components": 2, "order": "reversed",
+            "components": 2,
         }
 
     def test_partition_check_names_the_uncovered_vector(self, monkeypatch):
         space = TwistedSpace(Field(11), (3, 7, 3))
         decompose = st.decompose
 
-        def dropping(space_, enumeration=None):
+        def dropping(space_):
             # the components as decompose builds them, less (0, 0, 5)
-            deco = decompose(space_, enumeration)
+            deco = decompose(space_)
             for c in deco.components:
                 c.members = c.members - {(0, 0, 5)}
             return deco
@@ -659,12 +657,16 @@ class TestClosedFormDecomposition:
         assert [len(c.members) for c in deco.components] == [2053]
 
     def test_field_above_bound_is_refused_before_allocation(self):
+        # decompose never reads the class addition table, so only reading
+        # the component's addition is refused
         space = TwistedSpace(Field(4099), (1,))
         assert space.field.order > CLASS_TABLE_LIMIT
         tracemalloc.start()
         try:
+            (comp,) = st.decompose(space).components
+            assert len(comp) == 4099 and len(comp.members) == 4099
             with pytest.raises(TooLargeError, match=str(CLASS_TABLE_LIMIT)):
-                st.decompose(space)
+                comp.induced
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -293,11 +293,12 @@ def test_missing_file_exits_2(capsys):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="F_SETPIPE_SZ is Linux-only")
-@pytest.mark.parametrize("command, read", [("qk", 10), ("info", 0)])
+@pytest.mark.parametrize("command, read", [("qk", 10), ("decompose", 10), ("info", 0)])
 def test_closed_stdout_exits_141_quietly(write_config, command, read):
-    """A reader that closes the pipe early is no input error.  qk on
-    GF(11)^3 (1,1,1) writes about 52 kB of JSON, which a one-page pipe
-    holds back until the reader has read 10 bytes and gone; info's few
+    """A reader that closes the pipe early is no input error.  qk and
+    decompose on GF(11)^3 (1,1,1) write about 52 kB and 79 kB of JSON,
+    which a one-page pipe holds back until the reader has read 10 bytes
+    and gone; info's few
     hundred bytes wait in the output buffer until main flushes it."""
     import fcntl
 

@@ -397,6 +397,26 @@ class TestDecomposition:
         assert len(deco.components) == 1
         assert len(deco.components[0].members) == 25
 
+    def test_components_follow_class_order(self):
+        # one component per exponent class, in class order, each over
+        # its class's own support
+        for key in [(11, 1, (3, 7, 3)), (13, 1, (1, 5, 7)), (3, 2, (1, 1, 5))]:
+            space = get_space(*key)
+            deco = st.decompose(space)
+            assert [(c.class_id, c.support) for c in deco.components] == [
+                (c.index, c.support) for c in space.classes
+            ]
+
+    def test_induced_is_built_on_first_read(self):
+        # decompose builds no induced addition; the first read builds the
+        # class twist table, and later reads return the same object
+        space = TwistedSpace(Field(11), (3, 7, 3))
+        comps = st.decompose(space).components
+        assert all("induced" not in vars(c) for c in comps)
+        comp = comps[0]
+        assert comp.induced is comp.induced
+        assert comp.induced == st.induced_addition(space, comp.basis[0])
+
     def test_split_reassembles(self):
         space = get_space(11, 1, (1, 3, 7))
         deco = st.decompose(space)

@@ -12,7 +12,7 @@ import sys
 
 from . import span as span_mod
 from . import hom, structure, verify
-from .errors import NearVecError, NotCoprimeError
+from .errors import InvalidConfigError, NearVecError, NotCoprimeError
 from .report import jsonify
 from .space import (
     TwistedSpace,
@@ -125,12 +125,12 @@ def cmd_verify(args):
         with open(args.raw) as fh:
             fixture = json.load(fh)
         if not isinstance(fixture, dict):
-            raise ValueError(
+            raise InvalidConfigError(
                 f"raw fixture must be a JSON object, not {type(fixture).__name__}"
             )
         for key in ("add_table", "endomorphisms"):
             if key not in fixture:
-                raise ValueError(f"raw fixture has no {key!r} entry")
+                raise InvalidConfigError(f"raw fixture has no {key!r} entry")
         report = check_axioms_raw(fixture["add_table"], fixture["endomorphisms"])
         payload = report.to_json()
         emit(payload, args.json)

@@ -61,8 +61,7 @@ class InvalidSlotError(NearVecError, IndexError):
 
 
 class InvalidConfigError(NearVecError, ValueError):
-    """A space config is not a JSON object of the expected shape: a key
-    is missing or holds a value of the wrong type."""
+    """A config, parameter, table or fixture is malformed."""
 
 
 class InvalidMapError(NearVecError, ValueError):

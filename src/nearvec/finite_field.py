@@ -10,7 +10,9 @@ down), so every enumeration built on top of it is reproducible.
 
 from .errors import (
     DivisionByZeroError,
+    InvalidConfigError,
     InvalidElementError,
+    InvariantError,
     NonPrimeError,
     ReduciblePolynomialError,
     TooLargeError,
@@ -119,7 +121,7 @@ class Field:
         if not isinstance(p, int):
             raise NonPrimeError(f"{p} is not prime")
         if not isinstance(r, int) or r < 1:
-            raise ValueError(f"extension degree must be a positive integer, got {r}")
+            raise InvalidConfigError(f"extension degree must be a positive integer, got {r}")
         # bounded before the power and the primality scan, which would
         # build an r-bit integer and take sqrt(p) steps
         if p > MAX_ORDER or r >= MAX_ORDER.bit_length() or p ** r > MAX_ORDER:
@@ -135,10 +137,10 @@ class Field:
             self.modulus = None  # only consulted for genuine extensions
         else:
             if modulus is None:
-                raise ValueError(f"GF({p}^{r}) needs an explicit modulus polynomial")
+                raise InvalidConfigError(f"GF({p}^{r}) needs an explicit modulus polynomial")
             mod = tuple(int(c) % p for c in modulus)
             if len(mod) != r + 1 or mod[-1] != 1:
-                raise ValueError(
+                raise InvalidConfigError(
                     f"modulus must be monic of degree {r}, got {tuple(modulus)}"
                 )
             self._check_irreducible(mod)
@@ -177,9 +179,9 @@ class Field:
     def element(self, coeffs):
         cs = tuple(coeffs)
         if len(cs) != self.r:
-            raise ValueError(f"expected {self.r} coefficients, got {len(cs)}")
+            raise InvalidConfigError(f"expected {self.r} coefficients, got {len(cs)}")
         if any(type(c) is not int or not 0 <= c < self.p for c in cs):
-            raise ValueError(f"coefficients must be integers in [0, {self.p}): {cs}")
+            raise InvalidConfigError(f"coefficients must be integers in [0, {self.p}): {cs}")
         return sum(c * w for c, w in zip(cs, self._powers))
 
     def elements(self):
@@ -359,7 +361,7 @@ class Field:
                         self._generator = g
                         break
                 else:  # pragma: no cover - every finite field has one
-                    raise RuntimeError("no multiplicative generator found")
+                    raise InvariantError("no multiplicative generator found")
         return self._generator
 
     def _log_walk(self):

@@ -10,7 +10,7 @@ carriers are tiny, so an O(n^3) certifying scan is the honest tool.
 
 from operator import itemgetter
 
-from .errors import ConstructionFailedError, TooLargeError
+from .errors import ConstructionFailedError, InvalidConfigError, TooLargeError
 from .finite_field import Field
 from .report import CheckReport
 
@@ -32,9 +32,9 @@ class NearField:
         for table in (self.add, self.mul):
             cx = closure_failure(table)
             if len(table) != n or (cx is not None and len(cx) == 1):
-                raise ValueError("operation tables must be square and same-sized")
+                raise InvalidConfigError("operation tables must be square and same-sized")
             if cx is not None:
-                raise ValueError(f"operation table entry {cx} is outside range({n})")
+                raise InvalidConfigError(f"operation table entry {cx} is outside range({n})")
         self.size = n
         self.zero = zero
         self.one = one

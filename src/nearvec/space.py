@@ -101,9 +101,9 @@ class TwistedSpace:
     def __init__(self, field, exponents):
         exps = tuple(int(q) for q in exponents)
         if not exps:
-            raise ValueError("at least one coordinate is required")
+            raise InvalidConfigError("at least one coordinate is required")
         if any(q < 1 for q in exps):
-            raise ValueError(f"exponents must be >= 1, got {exps}")
+            raise InvalidConfigError(f"exponents must be >= 1, got {exps}")
         self.field = field
         self.n = len(exps)
         m = field.mult_order
@@ -688,7 +688,7 @@ def _check_entries(name, rows, n):
     for i, row in enumerate(rows):
         for j, x in enumerate(row):
             if not isinstance(x, int) or not 0 <= x < n:
-                raise ValueError(
+                raise InvalidConfigError(
                     f"{name}[{i}][{j}] = {x!r} lies outside range({n})"
                 )
 
@@ -702,16 +702,16 @@ def check_axioms_raw(add_table, endos):
         and isinstance(endos, seq)
         and all(isinstance(row, seq) for row in (*add_table, *endos))
     ):
-        raise ValueError("add_table and endomorphisms must be lists of lists")
+        raise InvalidConfigError("add_table and endomorphisms must be lists of lists")
     n = len(add_table)
     if n > MAX_RAW_CARRIER:
         raise TooLargeError(f"raw carrier {n} exceeds {MAX_RAW_CARRIER}")
     add = [list(row) for row in add_table]
     maps = [tuple(e) for e in endos]
     if any(len(row) != n for row in add):
-        raise ValueError(f"group table must be square ({n} rows)")
+        raise InvalidConfigError(f"group table must be square ({n} rows)")
     if any(len(m) != n for m in maps):
-        raise ValueError(f"every endomorphism must list {n} images")
+        raise InvalidConfigError(f"every endomorphism must list {n} images")
     _check_entries("add_table", add, n)
     _check_entries("endomorphisms", maps, n)
     els = range(n)

@@ -6,8 +6,8 @@ they keep vector addition and turn the action of alpha into plain
 multiplication by alpha^q.  Since alpha -> alpha^q is a bijection of F,
 each regular component is so carried onto a vector space over F, and
 span, independence and coordinates are computed there by one
-elimination over F, then certified against closure oracles that know
-nothing about it.
+elimination over F, once per class of a basis, then certified against
+closure oracles that know nothing about it.
 """
 
 from itertools import product
@@ -46,20 +46,22 @@ def _straightening(space, cid):
 
 
 def _pivot_columns(space, cid, columns):
-    """Gauss-Jordan over F on the matrix whose columns are the given
-    class-supported vectors, straightened.
+    """Gauss-Jordan over F on the class-supported vectors, straightened,
+    as columns beside the m x m identity, m the size of the class.
 
-    Returns (pivot columns, reduced rows).  Column j is a pivot column
-    exactly when its vector is independent of the vectors before it, and
-    a non-pivot column holds its coefficients over the pivot columns,
-    row by row.
+    Returns (pivot columns, transform).  Column j is a pivot column
+    exactly when its vector is independent of the vectors before it.
+    The transform, the product of the row operations, takes a
+    straightened target to its coefficients over the pivot columns
+    followed by zeros exactly when the target lies in their span.
     """
     field = space.field
     neg, add_row, mul_row, inv = (
         field.neg_table(), field.add_row, field.mul_row, field.inv)
+    support = space.classes[cid].support
     rows = [
-        [table[v[i]] for v in columns]
-        for table, i in zip(_straightening(space, cid), space.classes[cid].support)
+        [table[v[i]] for v in columns] + [int(i == h) for h in support]
+        for table, i in zip(_straightening(space, cid), support)
     ]
     pivots = []
     for j in range(len(columns)):
@@ -75,41 +77,59 @@ def _pivot_columns(space, cid, columns):
                 scaled = map(mul_row(neg[c]).__getitem__, top)
                 rows[i] = [add_row(a)[b] for a, b in zip(row, scaled)]
         pivots.append(j)
-    return pivots, rows
+    return pivots, [row[len(columns):] for row in rows]
 
 
-def coordinates_in_independent_set(space, vectors, target):
-    """Coefficients expressing target over independent quasi-kernel
-    vectors, or None when no expansion exists.
+def _solver(space, vectors):
+    """The coordinate solve over independent quasi-kernel vectors, with
+    each exponent class eliminated once: a function taking a target to
+    its coefficient tuple, or to None when no expansion exists.
 
     Per class, sum_j a_j v_j = t straightens to sum_j y_j s(v_j) = s(t)
-    with y_j = a_j^q, solved with the target as the last column.
+    with y_j = a_j^q, and the class's transform takes s(t) to (y, 0):
+    one matrix-vector product per class that the target meets.
     """
-    space.check_vector(target)
     by_class = {}
     for idx, b in enumerate(vectors):
         cid = space.class_of(b)
         if cid is None:
             raise NotInQuasiKernelError(f"{b} is not a nonzero quasi-kernel vector")
         by_class.setdefault(cid, []).append(idx)
-
-    coeffs = [0] * len(vectors)
-    target_classes = {space._class_of_coord[i] for i in space.support(target)}
-    if not target_classes <= set(by_class):
-        return None
+    field = space.field
+    solves = {}
     for cid, idxs in by_class.items():
-        k = len(idxs)
-        pivots, rows = _pivot_columns(
-            space, cid, [vectors[i] for i in idxs] + [target])
-        if pivots[:k] != list(range(k)):
-            raise NotABasisError("dependent columns in coordinate solve")
-        if len(pivots) > k:
-            return None
-        unstraighten = space.power_table(
-            pow(space.classes[cid].exponent, -1, space.field.mult_order))
-        for i, row in zip(idxs, rows):
-            coeffs[i] = unstraighten[row[k]]
-    return tuple(coeffs)
+        pivots, transform = _pivot_columns(space, cid, [vectors[i] for i in idxs])
+        if len(pivots) < len(idxs):
+            raise NotABasisError("vectors are dependent inside an exponent class")
+        cls = space.classes[cid]
+        unstraighten = space.power_table(pow(cls.exponent, -1, field.mult_order))
+        columns = zip(_straightening(space, cid), cls.support, zip(*transform))
+        solves[cid] = idxs, list(columns), unstraighten
+
+    def solve(target):
+        space.check_vector(target)
+        coeffs = [0] * len(vectors)
+        for cid in {space._class_of_coord[i] for i in space.support(target)}:
+            if cid not in solves:
+                return None
+            idxs, columns, unstraighten = solves[cid]
+            y = [0] * len(columns)
+            for table, i, column in columns:
+                scaled = map(field.mul_row(table[target[i]]).__getitem__, column)
+                y = [field.add_row(a)[b] for a, b in zip(y, scaled)]
+            if any(y[len(idxs):]):
+                return None
+            for i, yj in zip(idxs, y):
+                coeffs[i] = unstraighten[yj]
+        return tuple(coeffs)
+
+    return solve
+
+
+def coordinates_in_independent_set(space, vectors, target):
+    """Coefficients expressing target over independent quasi-kernel
+    vectors, or None when no expansion exists."""
+    return _solver(space, vectors)(target)
 
 
 # -- linear combinations and closures ----------------------------------------
@@ -187,12 +207,8 @@ class Subspace:
 
     @property
     def component_supports(self):
-        seen = []
-        for cid in self.generator_classes:
-            sup = list(self.space.classes[cid].support)
-            if sup not in seen:
-                seen.append(sup)
-        return seen
+        cids = dict.fromkeys(self.generator_classes)
+        return [list(self.space.classes[cid].support) for cid in cids]
 
     def to_json(self, member_limit=4096):
         data = {
@@ -321,7 +337,8 @@ def dim_of_vector(space, v):
 
 def is_linearly_independent(space, vectors):
     """Brute-force independence: scan every coefficient tuple for a
-    nontrivial combination of the quasi-kernel vectors summing to zero.
+    nontrivial combination of the quasi-kernel vectors summing to zero;
+    the oracle for the rank that ``_pivot_columns`` computes.
 
     Returns (True, None) or (False, coefficient_tuple).
     """
@@ -350,18 +367,16 @@ def is_linearly_independent(space, vectors):
 
 
 def extract_basis(space):
-    """Greedy basis extraction from the quasi-kernel in enumeration
-    order; a candidate is dependent on the picks exactly when it already
-    lies in their span."""
-    basis = []
-    members = {space.zero}
-    for v in space.quasi_kernel().sorted_nonzero():
-        if v not in members:
-            basis.append(v)
-            members = span_of(space, basis).members
-    if len(basis) != space.n or len(members) != space.size:
-        raise InvariantError("greedy basis extraction failed to span the space")
-    return tuple(basis)
+    """The greedy basis, in closed form: e_(n-1), ..., e_0.
+
+    The greedy walk keeps each vector of Q(V)* in sorted order that is
+    not in the span of those kept before it.  e_(n-1) is the least vector
+    of Q(V)*.  Once e_(n-1), ..., e_j are kept, every vector supported in
+    {j, ..., n-1} lies in their span, as x e_i is a multiple of e_i
+    (x -> x^(q_i) is onto F).  So the least vector of Q(V)* outside that
+    span has a nonzero coordinate below j: it is e_(j-1).
+    """
+    return space.standard_basis()[::-1]
 
 
 def is_subspace(space, vectors):
@@ -405,26 +420,14 @@ class CoordinateMap:
             )
         self.space = space
         self.basis = tuple(basis)
-        self._slots_by_class = {}
-        for idx, b in enumerate(self.basis):
-            cid = space.class_of(b)
-            if cid is None:
-                raise NotABasisError(f"{b} is not a nonzero quasi-kernel vector")
-            self._slots_by_class.setdefault(cid, []).append(idx)
-        for cid, idxs in self._slots_by_class.items():
-            if len(idxs) != len(space.classes[cid].support):
-                raise NotABasisError(
-                    "basis does not match the component dimensions"
-                )
-        for cid, idxs in self._slots_by_class.items():
-            pivots = _pivot_columns(space, cid, [self.basis[i] for i in idxs])[0]
-            if len(pivots) < len(idxs):
-                raise NotABasisError(
-                    "basis vectors are dependent inside a component"
-                )
+        # n vectors, independent inside each class, fill every class
+        try:
+            self._solve = _solver(space, self.basis)
+        except NotInQuasiKernelError as exc:
+            raise NotABasisError(str(exc)) from None
 
     def to_coords(self, v):
-        coords = coordinates_in_independent_set(self.space, self.basis, v)
+        coords = self._solve(v)
         if coords is None:
             raise InvariantError(f"{v} failed to expand over a full basis")
         return coords
@@ -445,10 +448,6 @@ class CoordinateMap:
         return self.space.class_addition_table(
             self.space.class_of(self.basis[slot])
         )
-
-
-def canonical_coordinates(space, basis):
-    return CoordinateMap(space, basis)
 
 
 # -- exotic span witnesses -----------------------------------------------------

@@ -253,14 +253,12 @@ def verify_shared_addition(space, basis, v, v_prime):
     HypothesisUnmetError otherwise, returns whether the full tables
     +_v = +_v' = +_(theta_i b_i) all coincide.
     """
-    from .span import coordinates_in_independent_set  # local: avoids cycle
+    from .span import _solver  # local: avoids cycle
 
-    _require_quasi_nonzero(space, v)
-    _require_quasi_nonzero(space, v_prime)
-    for b in basis:
-        _require_quasi_nonzero(space, b)
-    theta = coordinates_in_independent_set(space, basis, v)
-    theta_p = coordinates_in_independent_set(space, basis, v_prime)
+    for u in (v, v_prime, *basis):
+        _require_quasi_nonzero(space, u)
+    solve = _solver(space, basis)
+    theta, theta_p = solve(v), solve(v_prime)
     if theta is None or theta_p is None:
         raise HypothesisUnmetError("vector does not expand over the given basis")
 

@@ -11,6 +11,7 @@ import time
 
 from . import span as span_mod
 from . import structure
+from .errors import InvalidConfigError
 from .report import jsonify
 from .space import TwistedSpace, check_axioms, quasi_kernel_bruteforce
 
@@ -75,12 +76,13 @@ def keylemma_suite(space, seed=0, max_size=None):
     """Whenever two quasi-kernel vectors share an induced addition at two
     different basis slots, all their slot additions and their own
     additions must coincide; exhaustive below the pair bound, seeded
-    sample above it."""
+    sample above it.  One ``CoordinateMap`` solves every vector of Q(V)*."""
     qk = space.quasi_kernel()
     qstar = qk.sorted_nonzero()
     basis = span_mod.extract_basis(space)
     basis_class = [space.class_of(b) for b in basis]
-    coords = {v: span_mod.coordinates_in_independent_set(space, basis, v) for v in qstar}
+    to_coords = span_mod.CoordinateMap(space, basis).to_coords
+    coords = {v: to_coords(v) for v in qstar}
 
     # two distinct slots in one class require a class of dimension >= 2
     can_hit = any(len(c.support) >= 2 for c in space.classes)
@@ -281,7 +283,7 @@ def run_suites(space, names, seed=0, max_size=None):
     else:
         unknown = [n for n in names if n not in _SUITES]
         if unknown:
-            raise ValueError(f"unknown suite(s): {', '.join(unknown)}")
+            raise InvalidConfigError(f"unknown suite(s): {', '.join(unknown)}")
         selected = list(names)
     suites = []
     for name in selected:

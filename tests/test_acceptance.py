@@ -279,7 +279,7 @@ def test_criterion_11_canonical_coordinates():
             continue
         checked += 1
         basis = spn.extract_basis(space)
-        cmap = spn.canonical_coordinates(space, basis)
+        cmap = spn.CoordinateMap(space, basis)
         coords = {}
         for v in space.vectors():
             c = cmap.to_coords(v)

@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 
 from conftest import CORPUS, check_components_against_bruteforce, get_space
+from nearvec import cli, verify
 from nearvec import near_field as nf
 from nearvec.errors import (
     InvalidConfigError,
@@ -423,3 +424,42 @@ class TestSerialization:
         assert payload["member_count"] == 131
         assert len(payload["members"]) == 131
         assert json.loads(json.dumps(payload)) == payload
+
+
+def _verify_raw(tmp_path, fixture):
+    path = tmp_path / "raw.json"
+    path.write_text(json.dumps(fixture))
+    return cli.cmd_verify(cli.build_parser().parse_args(["verify", "--raw", str(path)]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: Field(5, 0), "extension degree"),
+    (lambda tmp: Field(3, 2), "explicit modulus"),
+    (lambda tmp: Field(3, 2, (1, 1)), "monic of degree 2"),
+    (lambda tmp: Field(5).element((1, 2)), "expected 1 coefficients"),
+    (lambda tmp: Field(5).element((7,)), r"integers in \[0, 5\)"),
+    (lambda tmp: nf.NearField([[0, 1], [1, 0]], [[0]]), "square and same-sized"),
+    (lambda tmp: nf.NearField([[0, 1], [1, 2]], [[0, 0], [0, 1]]),
+     r"entry \(1, 1\) is outside range\(2\)"),
+    (lambda tmp: TwistedSpace(Field(5), ()), "at least one coordinate"),
+    (lambda tmp: TwistedSpace(Field(5), (0,)), "exponents must be >= 1"),
+    (lambda tmp: check_axioms_raw([[0, 1], [1, 2]], []),
+     r"add_table\[1\]\[1\] = 2 lies outside"),
+    (lambda tmp: check_axioms_raw([1, 2], []), "lists of lists"),
+    (lambda tmp: check_axioms_raw([[0, 1], [1]], []), "must be square"),
+    (lambda tmp: check_axioms_raw([[0, 1], [1, 0]], [[0]]), "must list 2 images"),
+    (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), ["nope"]), "unknown suite"),
+    (lambda tmp: _verify_raw(tmp, []), "JSON object, not list"),
+    (lambda tmp: _verify_raw(tmp, {"add_table": [[0]]}), "no 'endomorphisms' entry"),
+], ids=["field_degree", "field_no_modulus", "field_modulus_degree",
+        "element_length", "element_range", "near_field_shape", "near_field_entry",
+        "space_no_coordinates", "space_exponent", "raw_entry", "raw_shape",
+        "raw_square", "raw_images", "unknown_suite", "raw_fixture_list",
+        "raw_fixture_key"])
+def test_malformed_input_raises_invalid_config_error(tmp_path, call, message):
+    # a NearVecError for callers catching the package's errors, and still a
+    # ValueError for those catching the builtin
+    with pytest.raises(InvalidConfigError, match=message) as info:
+        call(tmp_path)
+    assert isinstance(info.value, NearVecError)
+    assert isinstance(info.value, ValueError)

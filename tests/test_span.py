@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as hst
 
-from conftest import check_components_against_bruteforce, get_space
+from conftest import check_components_against_bruteforce, corpus_spaces, get_space
 from nearvec import near_field as nf
 from nearvec import span as spn
 from nearvec import structure as st
+from nearvec import verify
 from nearvec.errors import (
     HypothesisUnmetError,
     InvalidSlotError,
@@ -238,6 +239,38 @@ class TestQuasiKernelSweep:
                 st.induced_addition_closed_form(space, v), cls
 
 
+class TestSolverSweep:
+    @sweep
+    def test_solves_match_the_closure_oracle(self, drawn):
+        # the parts of every drawn vector but the first span the subset;
+        # the drawn vectors and the standard basis are the targets
+        p, r, exponents, vectors = drawn
+        space = get_space(p, r, exponents)
+        parts_by_class = {}
+        for v in vectors[1:]:
+            for cid, part in space.class_parts(v).items():
+                parts_by_class.setdefault(cid, []).append(part)
+        independent = []
+        for cid, parts in parts_by_class.items():
+            kept = []
+            for j, part in enumerate(parts):
+                candidate = [parts[i] for i in kept] + [part]
+                if spn.is_linearly_independent(space, candidate)[0]:
+                    kept.append(j)
+            assert spn._pivot_columns(space, cid, parts)[0] == kept, cid
+            independent += [parts[j] for j in kept]
+        assert spn.is_linearly_independent(space, independent)[0]
+        closure = spn.subspace_closure_oracle(space, independent)
+        for target in vectors + list(space.standard_basis()):
+            coeffs = spn.coordinates_in_independent_set(space, independent, target)
+            assert (coeffs is None) == (target not in closure), target
+            if coeffs is not None:
+                total = space.zero
+                for a, b in zip(coeffs, independent):
+                    total = space.add(total, space.scalar_mul(a, b))
+                assert total == target
+
+
 class TestIndependence:
     def test_standard_basis_is_independent(self):
         space = get_space(11, 1, (3, 7, 3))
@@ -284,6 +317,20 @@ class TestBasis:
         basis = spn.extract_basis(space)
         assert basis == ((1,),)
 
+    def test_closed_form_is_the_greedy_walk(self):
+        # the greedy definition, span membership decided by the closure
+        # oracle, is the oracle for the closed form
+        for space in corpus_spaces():
+            if space.size > 2000:
+                continue
+            picks = []
+            closure = {space.zero}
+            for v in space.quasi_kernel().sorted_nonzero():
+                if v not in closure:
+                    picks.append(v)
+                    closure = spn.subspace_closure_oracle(space, picks)
+            assert tuple(picks) == spn.extract_basis(space), space
+
     def test_basis_is_n_independent_vectors(self):
         for key in [(11, 1, (3, 7, 3)), (5, 1, (1, 3)), (3, 2, (1, 1, 5))]:
             space = get_space(*key)
@@ -328,19 +375,19 @@ class TestCanonicalCoordinates:
         for key in [(11, 1, (3, 7, 3)), (3, 2, (1, 5)), (5, 1, (1, 1)),
                     (2, 2, (1, 2)), (2, 3, (3, 5))]:
             space = get_space(*key)
-            cmap = spn.canonical_coordinates(space, spn.extract_basis(space))
+            cmap = spn.CoordinateMap(space, spn.extract_basis(space))
             for v in space.vectors():
                 assert cmap.from_coords(cmap.to_coords(v)) == v
 
     def test_untwisted_coordinates_are_literal(self):
         space = get_space(5, 1, (1, 1))
-        cmap = spn.canonical_coordinates(space, space.standard_basis())
+        cmap = spn.CoordinateMap(space, space.standard_basis())
         for v in space.vectors():
             assert cmap.to_coords(v) == v
 
     def test_scaled_basis_example(self):
         space = get_space(11, 1, (3, 7, 3))
-        cmap = spn.canonical_coordinates(
+        cmap = spn.CoordinateMap(
             space, [(2, 0, 0), (0, 1, 0), (0, 0, 1)]
         )
         assert cmap.to_coords((2, 0, 0)) == (1, 0, 0)
@@ -348,7 +395,7 @@ class TestCanonicalCoordinates:
     def test_pushforward_addition_is_the_induced_addition(self):
         space = get_space(11, 1, (3, 7, 3))
         basis = spn.extract_basis(space)
-        cmap = spn.canonical_coordinates(space, basis)
+        cmap = spn.CoordinateMap(space, basis)
         coords = {v: cmap.to_coords(v) for v in space.vectors()}
         tables = [cmap.addition_table(i) for i in range(space.n)]
         sample = space.vectors()[:: max(1, space.size // 400)]
@@ -362,7 +409,7 @@ class TestCanonicalCoordinates:
     def test_eta_maps_are_near_field_isomorphisms(self):
         space = get_space(11, 1, (3, 7, 3))
         basis = spn.extract_basis(space)
-        cmap = spn.canonical_coordinates(space, basis)
+        cmap = spn.CoordinateMap(space, basis)
         _, mul = space.field.op_tables()
         for slot in range(space.n):
             induced = st.induced_nearfield(space, basis[slot])
@@ -375,24 +422,56 @@ class TestCanonicalCoordinates:
     @pytest.mark.parametrize("slot", [5, -1])
     def test_addition_table_rejects_slots_outside_range(self, slot):
         space = get_space(11, 1, (3, 7, 3))
-        cmap = spn.canonical_coordinates(space, spn.extract_basis(space))
+        cmap = spn.CoordinateMap(space, spn.extract_basis(space))
         with pytest.raises(InvalidSlotError, match=rf"slot {slot} "):
             cmap.addition_table(slot)
 
     def test_rejects_bad_bases(self):
         space = get_space(11, 1, (3, 7, 3))
         with pytest.raises(NotABasisError):
-            spn.canonical_coordinates(space, [(1, 0, 0), (2, 0, 0), (0, 1, 0)])
+            spn.CoordinateMap(space, [(1, 0, 0), (2, 0, 0), (0, 1, 0)])
         with pytest.raises(NotABasisError):
-            spn.canonical_coordinates(space, [(1, 0, 0), (0, 1, 0)])
+            spn.CoordinateMap(space, [(1, 0, 0), (0, 1, 0)])
         with pytest.raises(NotABasisError):
-            spn.canonical_coordinates(
+            spn.CoordinateMap(
                 space, [(1, 1, 0), (0, 1, 0), (0, 0, 1)]
             )
+        # n vectors but none in class {1}: three in the plane of {0, 2}
+        with pytest.raises(NotABasisError):
+            spn.CoordinateMap(space, [(1, 0, 0), (0, 0, 1), (1, 0, 1)])
         # one class whose second coordinate is straightened by Frobenius
         gf4 = get_space(2, 2, (1, 2))
         with pytest.raises(NotABasisError):
-            spn.canonical_coordinates(gf4, [(1, 1), gf4.scalar_mul(2, (1, 1))])
+            spn.CoordinateMap(gf4, [(1, 1), gf4.scalar_mul(2, (1, 1))])
+
+
+class TestReduceOnce:
+    """A coordinate solve eliminates each exponent class of its basis
+    once, however many targets it then solves."""
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        pivot_columns = spn._pivot_columns
+
+        def counted(space, cid, columns):
+            calls.append(cid)
+            return pivot_columns(space, cid, columns)
+
+        monkeypatch.setattr(spn, "_pivot_columns", counted)
+        return calls
+
+    def test_coordinate_map(self, eliminations):
+        space = get_space(11, 1, (3, 7, 3))
+        cmap = spn.CoordinateMap(space, spn.extract_basis(space))
+        for v in space.vectors():
+            assert cmap.from_coords(cmap.to_coords(v)) == v
+        assert sorted(eliminations) == list(range(len(space.classes)))
+
+    def test_keylemma_suite(self, eliminations):
+        space = get_space(11, 1, (1, 1, 1))
+        assert verify.keylemma_suite(space)["pass"]
+        assert sorted(eliminations) == list(range(len(space.classes)))
 
 
 class TestExoticSpanWitnesses:
@@ -497,9 +576,10 @@ class TestQuasiKernelNotEnumerated:
         quasi_kernel_report,
         lambda space: st.decompose(space).to_json(),
         lambda space: st.are_compatible(space, *space.standard_basis()[:2]),
+        lambda space: spn.extract_basis(space),
     ], ids=["to_coords", "coordinates_in_independent_set",
             "induced_addition_closed_form", "quasi_kernel_report",
-            "decompose", "are_compatible"])
+            "decompose", "are_compatible", "extract_basis"])
     def test_quasi_kernel_is_not_built(self, space, call):
         call(space)
         assert space._quasi_kernel is None

@@ -6,6 +6,7 @@ stopped by SIGPIPE).
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -13,7 +14,7 @@ import sys
 from . import span as span_mod
 from . import hom, structure, verify
 from .errors import InvalidConfigError, NearVecError, NotCoprimeError
-from .report import jsonify
+from .report import dumps
 from .space import (
     TwistedSpace,
     check_axioms_raw,
@@ -34,8 +35,11 @@ def parse_vector(space, text):
 
 
 def emit(report, as_json):
+    """Print a report: with ``as_json``, in the stdlib's ``indent=2,
+    sort_keys=True`` JSON format (written by ``report.dumps`` in one
+    walk), otherwise as indented ``key: value`` lines."""
     if as_json:
-        print(json.dumps(jsonify(report), indent=2, sort_keys=True))
+        print(dumps(report))
         return
     _print_plain(report)
 
@@ -167,7 +171,17 @@ def cmd_hom(args):
 # -- argument parsing -------------------------------------------------------
 
 
+def non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+@functools.cache
 def build_parser():
+    """The parser, built once per process; each ``parse_args`` call
+    returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nearvec",
         description="Exact structural computations on finite near-vector "
@@ -181,25 +195,20 @@ def build_parser():
 
     p = sub.add_parser("info", help="field, classes, regularity")
     common(p)
-    p.set_defaults(fn=cmd_info)
 
     p = sub.add_parser("qk", help="quasi-kernel members and class supports")
     common(p)
-    p.set_defaults(fn=cmd_qk)
 
     p = sub.add_parser("decompose", help="regular components")
     common(p)
-    p.set_defaults(fn=cmd_decompose)
 
     p = sub.add_parser("span", help="span of the given vectors")
     common(p)
     p.add_argument("vectors", nargs="+", help="vectors as JSON arrays")
-    p.set_defaults(fn=cmd_span)
 
     p = sub.add_parser("dim", help="dimension of a vector")
     common(p)
     p.add_argument("vector", help="vector as a JSON array")
-    p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("config", nargs="?", help="space config JSON file")
@@ -212,26 +221,25 @@ def build_parser():
     p.add_argument("--raw", help="raw fixture JSON (group table + endomorphisms)")
     p.add_argument("--json", action="store_true", help="machine output")
     p.add_argument("--seed", type=int, default=0, help="seed for sampled sub-suites")
-    p.add_argument("--max-size", type=int, default=None, help="lower the enumeration bounds")
-    p.set_defaults(fn=cmd_verify)
+    p.add_argument("--max-size", type=non_negative_int, default=None, help="lower the enumeration bounds")
 
     p = sub.add_parser("hom", help="check a homomorphism pair (theta, eta)")
     common(p)
     p.add_argument("config2", help="target space config JSON file")
     p.add_argument("map", help="JSON file with theta and eta tables")
-    p.set_defaults(fn=cmd_hom)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.command == "verify" and not args.raw and args.config is None:
         print("error: verify needs a config file or --raw fixture", file=sys.stderr)
         return 2
     try:
-        code = args.fn(args)
+        # looked up at call time, not bound in the cached parser, so that
+        # rebinding a cmd_* function (a monkeypatch, a tracer) takes effect
+        code = globals()[f"cmd_{args.command}"](args)
         # flush inside the try, so a reader that is already gone is caught
         # below however much output the buffer held
         sys.stdout.flush()

@@ -435,9 +435,7 @@ def quasi_kernel_report(space, member_limit=4096):
         ],
     }
     if member_count <= member_limit:
-        data["members"] = [
-            vector_to_json(space, v) for v in space.quasi_kernel().sorted_members()
-        ]
+        data["members"] = vectors_to_json(space, space.quasi_kernel().sorted_members())
     return data
 
 
@@ -549,6 +547,18 @@ def vector_to_json(space, v):
     if space.field.r == 1:
         return list(v)
     return [list(space.field.coeffs(x)) for x in v]
+
+
+def vectors_to_json(space, vectors):
+    """``[vector_to_json(space, v) for v in vectors]`` with each field
+    element's coefficients computed once, however many coordinates hold
+    it.  For r > 1 equal elements share one coefficient list, so the
+    result is for reading (and printing), not for editing in place."""
+    if space.field.r == 1:
+        return [list(v) for v in vectors]
+    coeffs = space.field.coeffs
+    table = {x: list(coeffs(x)) for x in set().union(*vectors)}
+    return [list(map(table.__getitem__, v)) for v in vectors]
 
 
 def vector_from_json(space, data):

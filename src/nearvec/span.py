@@ -20,7 +20,7 @@ from .errors import (
     NotInQuasiKernelError,
     TooLargeError,
 )
-from .space import additive_closure, vector_to_json
+from .space import additive_closure, vector_to_json, vectors_to_json
 
 INDEPENDENCE_SCAN_LIMIT = 1 << 22
 
@@ -218,9 +218,7 @@ class Subspace:
             "member_count": len(self.members),
         }
         if len(self.members) <= member_limit:
-            data["members"] = [
-                vector_to_json(self.space, v) for v in sorted(self.members)
-            ]
+            data["members"] = vectors_to_json(self.space, sorted(self.members))
         return data
 
 

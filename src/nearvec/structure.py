@@ -43,7 +43,7 @@ from .near_field import (
     right_distributivity_failure,
 )
 from .report import jsonify
-from .space import _orbit_sums, vector_to_json
+from .space import _orbit_sums, vector_to_json, vectors_to_json
 
 
 class InducedAddition:
@@ -507,9 +507,7 @@ class RegularComponent:
             "basis": [vector_to_json(self.space, b) for b in self.basis],
         }
         if self.member_count <= member_limit:
-            data["members"] = [
-                vector_to_json(self.space, v) for v in sorted(self.members)
-            ]
+            data["members"] = vectors_to_json(self.space, sorted(self.members))
         return data
 
 

@@ -278,6 +278,8 @@ _SUITES = {
 
 def run_suites(space, names, seed=0, max_size=None):
     """Run the selected suites; "all" adds the quasi-kernel oracle."""
+    if max_size is not None and (type(max_size) is not int or max_size < 0):
+        raise InvalidConfigError(f"max_size must be a non-negative integer, got {max_size!r}")
     if "all" in names:
         selected = list(SUITE_NAMES) + ["quasi-kernel-oracle"]
     else:

@@ -8,15 +8,21 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as hst
 
 from conftest import CORPUS, get_space
+from nearvec import cli, verify
 from nearvec import structure as st
 from nearvec.cli import main
-from nearvec.space import TwistedSpace, vector_to_json
+from nearvec.errors import InvalidConfigError
+from nearvec.report import dumps, jsonify
+from nearvec.space import TwistedSpace, vector_to_json, vectors_to_json
 
 WORKED_CONFIG = {"p": 11, "r": 1, "modulus_poly": None, "exponents": [3, 7, 3]}
 FLAWED_CONFIG = {"p": 11, "r": 1, "modulus_poly": None, "exponents": [3, 5, 3]}
 SMALL_CONFIG = {"p": 5, "r": 1, "modulus_poly": None, "exponents": [1, 3]}
+GF49_CONFIG = {"p": 7, "r": 2, "modulus_poly": [1, 0, 1], "exponents": [1, 5]}
 
 
 @pytest.fixture
@@ -287,6 +293,21 @@ def test_seed_and_max_size_are_verify_flags(write_config, capsys, command, flag)
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_negative_max_size_exits_2_naming_the_flag(write_config, capsys):
+    # -5 used to be reported as max_size -5 and sample every suite, as 0 does
+    with pytest.raises(SystemExit) as info:
+        main(["verify", write_config(SMALL_CONFIG), "--max-size", "-5"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-size" in captured.err and "-5" in captured.err
+
+
+def test_run_suites_refuses_a_negative_max_size():
+    with pytest.raises(InvalidConfigError, match="max_size"):
+        verify.run_suites(get_space(5, 1, (1, 3)), ["all"], max_size=-1)
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["info", "/nonexistent/config.json"]) == 2
     capsys.readouterr()
@@ -424,3 +445,72 @@ def test_verify_output_is_deterministic(write_config, capsys):
             suite.pop("elapsed_s")
         runs.append(out)
     assert runs[0] == runs[1]
+
+
+# -- JSON output ------------------------------------------------------------
+
+_json_scalars = hst.one_of(
+    hst.integers(),
+    hst.booleans(),
+    hst.none(),
+    hst.floats(allow_nan=True, allow_infinity=True),
+    hst.text(),
+    hst.text(hst.characters(min_codepoint=0x80)),
+    hst.frozensets(hst.lists(hst.integers(-3, 3), max_size=3).map(tuple)),
+)
+_json_values = hst.recursive(
+    _json_scalars,
+    lambda children: hst.one_of(
+        hst.lists(children, max_size=4),
+        hst.lists(children, max_size=4).map(tuple),
+        hst.dictionaries(
+            hst.one_of(hst.text(max_size=3), hst.integers(-3, 3)), children, max_size=4
+        ),
+    ),
+    max_leaves=25,
+)
+
+
+@seed(2718)
+@settings(max_examples=400, deadline=None)
+@given(_json_values)
+@example({1: "a", "1": "b"})
+@example([True, 1])
+@example({"a": [[], {}, (), frozenset()], "b": [[[]]]})
+def test_dumps_matches_the_stdlib_encoder(value):
+    assert dumps(value) == json.dumps(jsonify(value), indent=2, sort_keys=True)
+
+
+def test_dumps_keeps_the_later_of_two_equal_keys_and_bools_apart():
+    # jsonify keeps one "1" key, the later value; True is no int
+    assert dumps({1: "a", "1": "b"}) == '{\n  "1": "b"\n}'
+    assert dumps([True, 1]) == "[\n  true,\n  1\n]"
+
+
+@pytest.mark.parametrize("config", [GF49_CONFIG, WORKED_CONFIG], ids=["gf49", "worked"])
+@pytest.mark.parametrize("command", ["qk", "decompose", "span"])
+def test_json_stdout_is_the_stdlib_encoding(write_config, capsys, config, command):
+    vector = [[3, 1], [2, 5]] if config["r"] == 2 else [2, 5, 6]
+    extra = [json.dumps(vector)] if command == "span" else []
+    assert main([command, write_config(config), *extra, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_parser_is_built_once_and_reused(write_config, capsys):
+    config = write_config(GF49_CONFIG)
+    outputs = []
+    for argv in (["span", config, "[[3,1],[2,5]]", "--json"], ["info", config, "--json"],
+                 ["span", config, "[[3,1],[2,5]]", "--json"]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2]
+    assert json.loads(outputs[0])["member_count"] == 2401
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.parametrize("key", [k for k in CORPUS if k[1] > 1], ids=str)
+def test_vectors_to_json_matches_vector_to_json(key):
+    space = get_space(*key)
+    members = space.quasi_kernel().sorted_members()
+    assert vectors_to_json(space, members) == [vector_to_json(space, v) for v in members]

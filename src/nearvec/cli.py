@@ -20,7 +20,7 @@ from .space import (
     check_axioms_raw,
     quasi_kernel_report,
     vector_from_json,
-    vector_to_json,
+    vectors_to_json,
 )
 
 
@@ -86,9 +86,7 @@ def cmd_info(args):
         "component_count": len(space.classes),
     }
     if not regular.regular:
-        report["incompatible_pair"] = [
-            vector_to_json(space, v) for v in regular.witness
-        ]
+        report["incompatible_pair"] = vectors_to_json(space, regular.witness)
     emit(report, args.json)
     return 0
 

@@ -22,8 +22,10 @@ MAX_ORDER = 1 << 20
 
 # Table rows are cached, and the dense tables of op_tables built, only up
 # to this order, so a field holds at most two tables of TABLE_LIMIT^2
-# entries; above it a row is built afresh on each read, and single
-# additions and products are computed digit-wise or as polynomials.
+# entries.  Up to it add and mul read the cached rows; above it a row is
+# built afresh on each read, and add and mul compute digit-wise or as
+# polynomials.  Which of the two a field takes depends on its order
+# alone, not on whether op_tables ran before.
 TABLE_LIMIT = 1024
 
 
@@ -138,11 +140,15 @@ class Field:
         else:
             if modulus is None:
                 raise InvalidConfigError(f"GF({p}^{r}) needs an explicit modulus polynomial")
-            mod = tuple(int(c) % p for c in modulus)
+            modulus = tuple(modulus)
+            for c in modulus:
+                if type(c) is not int:  # bool too, as in validate_config
+                    raise InvalidConfigError(
+                        f"modulus coefficients must be integers, got {c!r} in {modulus}"
+                    )
+            mod = tuple(c % p for c in modulus)
             if len(mod) != r + 1 or mod[-1] != 1:
-                raise InvalidConfigError(
-                    f"modulus must be monic of degree {r}, got {tuple(modulus)}"
-                )
+                raise InvalidConfigError(f"modulus must be monic of degree {r}, got {modulus}")
             self._check_irreducible(mod)
             self.modulus = mod
         self._powers = [p ** i for i in range(r)]
@@ -194,9 +200,8 @@ class Field:
     # -- arithmetic -------------------------------------------------------
 
     def add(self, a, b):
-        t = self._add_table
-        if t is not None:
-            return t[a][b]
+        if self.order <= TABLE_LIMIT:
+            return self.add_row(a)[b]
         if self.r == 1:
             return (a + b) % self.p
         p = self.p
@@ -225,13 +230,9 @@ class Field:
     def neg(self, a):
         return self.neg_table()[a]
 
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
     def mul(self, a, b):
-        t = self._mul_table
-        if t is not None:
-            return t[a][b]
+        if self.order <= TABLE_LIMIT:
+            return self.mul_row(a)[b]
         return self._raw_mul(a, b)
 
     def _from_poly(self, poly):
@@ -245,7 +246,8 @@ class Field:
         return exp[(m - log[a]) % m]
 
     def pow(self, a, k):
-        """a^k with the exponent reduced mod mult_order for nonzero a."""
+        """a^k, the exponent reduced mod mult_order for nonzero a, through
+        polynomial products: ``generator`` runs before the rows' log walk."""
         if a == 0:
             if k > 0:
                 return 0
@@ -259,8 +261,8 @@ class Field:
         base = a
         while k:
             if k & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = self._raw_mul(result, base)
+            base = self._raw_mul(base, base)
             k >>= 1
         return result
 

@@ -99,7 +99,10 @@ class TwistedSpace:
     """
 
     def __init__(self, field, exponents):
-        exps = tuple(int(q) for q in exponents)
+        exps = tuple(exponents)
+        for i, q in enumerate(exps):
+            if not _is_int(q):
+                raise InvalidConfigError(f"exponent {i} must be an integer, got {q!r}")
         if not exps:
             raise InvalidConfigError("at least one coordinate is required")
         if any(q < 1 for q in exps):
@@ -125,16 +128,9 @@ class TwistedSpace:
             for i in cls.support:
                 self._class_of_coord[i] = cls.index
         self.zero = (0,) * self.n
-        # add and scalar_mul read the field's row caches, which it fills up
-        # to TABLE_LIMIT; above it they compute each entry
-        if field.order <= TABLE_LIMIT:
-            self._fadd, self._fmul = field._add_rows, field._mul_rows
-        else:
-            self._fadd = self._fmul = None
         self._power_tables = {}
         # per-coordinate twist tables, shared between equal exponents
         self._psi = [self.power_table(q) for q in self.exponents]
-        self._fneg = field.neg_table()
         self._vectors = None
         self._quasi_kernel = None
         self._class_add_tables = {}
@@ -203,33 +199,14 @@ class TwistedSpace:
     # -- vector arithmetic ------------------------------------------------
 
     def add(self, v, w):
-        fadd = self._fadd
-        if fadd is not None:
-            try:
-                return tuple(fadd[a][b] for a, b in zip(v, w))
-            except KeyError:  # a row not read before; add_row caches it
-                add_row = self.field.add_row
-                return tuple(add_row(a)[b] for a, b in zip(v, w))
-        f = self.field
-        return tuple(f.add(a, b) for a, b in zip(v, w))
+        return tuple(map(self.field.add, v, w))
 
     def neg(self, v):
-        fneg = self._fneg
-        return tuple(fneg[a] for a in v)
-
-    def sub(self, v, w):
-        return self.add(v, self.neg(w))
+        return tuple(map(self.field.neg, v))
 
     def scalar_mul(self, alpha, v):
-        fmul = self._fmul
-        if fmul is not None:  # the row of x, as in multiples
-            try:
-                return tuple(fmul[x][p[alpha]] for p, x in zip(self._psi, v))
-            except KeyError:  # a row not read before; mul_row caches it
-                mul_row = self.field.mul_row
-                return tuple(mul_row(x)[p[alpha]] for p, x in zip(self._psi, v))
-        f = self.field
-        return tuple(f.mul(p[alpha], x) for p, x in zip(self._psi, v))
+        # x psi_i(alpha): the row of x, as in multiples
+        return tuple(map(self.field.mul, v, [psi[alpha] for psi in self._psi]))
 
     def sumset(self, A, B):
         """{a + b for a in A for b in B}.
@@ -237,11 +214,11 @@ class TwistedSpace:
         Column-wise, as in ``multiples``: coordinate i of a + B is the
         field's add row of a_i read at column i of B, taken once for each
         distinct a_i, and the coordinates of all the sums are zipped
-        together.  Above TABLE_LIMIT, where rows are not cached, each sum
-        is computed as in ``add``.
+        together.  Above TABLE_LIMIT, where a row is built afresh on each
+        read at O(|F|), each sum is computed as in ``add``.
         """
         B = list(B)
-        if self._fadd is None:
+        if self.field.order > TABLE_LIMIT:
             fadd = self.field.add
             return {tuple(map(fadd, a, b)) for a in A for b in B}
         add_row = self.field.add_row

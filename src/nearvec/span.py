@@ -20,7 +20,7 @@ from .errors import (
     NotInQuasiKernelError,
     TooLargeError,
 )
-from .space import additive_closure, vector_to_json, vectors_to_json
+from .space import additive_closure, vectors_to_json
 
 INDEPENDENCE_SCAN_LIMIT = 1 << 22
 
@@ -212,7 +212,7 @@ class Subspace:
 
     def to_json(self, member_limit=4096):
         data = {
-            "generators": [vector_to_json(self.space, g) for g in self.generators],
+            "generators": vectors_to_json(self.space, self.generators),
             "dim": self.dim,
             "component_supports": self.component_supports,
             "member_count": len(self.members),
@@ -262,7 +262,7 @@ class DimResult:
     def to_json(self, space):
         return {
             "dim": self.value,
-            "witness": [vector_to_json(space, w) for w in self.witness],
+            "witness": vectors_to_json(space, self.witness),
         }
 
 

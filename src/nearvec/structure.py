@@ -43,7 +43,7 @@ from .near_field import (
     right_distributivity_failure,
 )
 from .report import jsonify
-from .space import _orbit_sums, vector_to_json, vectors_to_json
+from .space import _orbit_sums, vectors_to_json
 
 
 class InducedAddition:
@@ -504,7 +504,7 @@ class RegularComponent:
             "class_id": self.class_id,
             "support": list(self.support),
             "member_count": self.member_count,
-            "basis": [vector_to_json(self.space, b) for b in self.basis],
+            "basis": vectors_to_json(self.space, self.basis),
         }
         if self.member_count <= member_limit:
             data["members"] = vectors_to_json(self.space, sorted(self.members))

@@ -280,12 +280,15 @@ def run_suites(space, names, seed=0, max_size=None):
     """Run the selected suites; "all" adds the quasi-kernel oracle."""
     if max_size is not None and (type(max_size) is not int or max_size < 0):
         raise InvalidConfigError(f"max_size must be a non-negative integer, got {max_size!r}")
+    # a bare string would be read letter by letter
+    if not isinstance(names, (list, tuple)):
+        raise InvalidConfigError(f"suite names must be a list or tuple, got {names!r}")
+    unknown = [n for n in names if n != "all" and n not in SUITE_NAMES]
+    if unknown:
+        raise InvalidConfigError(f"unknown suite(s): {', '.join(map(str, unknown))}")
     if "all" in names:
         selected = list(SUITE_NAMES) + ["quasi-kernel-oracle"]
     else:
-        unknown = [n for n in names if n not in _SUITES]
-        if unknown:
-            raise InvalidConfigError(f"unknown suite(s): {', '.join(unknown)}")
         selected = list(names)
     suites = []
     for name in selected:

@@ -212,6 +212,37 @@ def test_op_tables_match_per_element_arithmetic(key):
         assert f._raw_mul(a, f.inv(a)) == 1
 
 
+ARITH_FIELDS = CORPUS_FIELDS + [
+    (1031, 1, None),
+    (2, 11, (1, 0, 1) + (0,) * 8 + (1,)),
+    (3, 7, (2, 0, 1, 0, 0, 0, 0, 1)),
+]
+
+
+@pytest.mark.parametrize("key", ARITH_FIELDS, ids=str)
+def test_add_and_mul_do_not_depend_on_call_history(key):
+    """add and mul match the digit-wise and polynomial references on a
+    fresh field, and again once op_tables has run where it may."""
+    f = Field(*key)
+    rng = random.Random(f.order)
+    pairs = [(rng.randrange(f.order), rng.randrange(f.order)) for _ in range(200)]
+    pairs += [(0, 0), (0, f.order - 1), (f.order - 1, 1)]
+
+    def check():
+        for a, b in pairs:
+            assert f.add(a, b) == _digit_add(f, a, b), (a, b)
+            assert f.mul(a, b) == f._raw_mul(a, b), (a, b)
+
+    check()
+    if f.order <= TABLE_LIMIT:
+        f.op_tables()
+        check()
+    else:
+        with pytest.raises(TooLargeError):
+            f.op_tables()
+        assert f._add_rows == {} and f._mul_rows == {}
+
+
 @pytest.mark.parametrize(
     "key",
     CORPUS_FIELDS + [(3, 7, (2, 0, 1, 0, 0, 0, 0, 1)), (2, 11, (1, 0, 1) + (0,) * 8 + (1,))],

@@ -92,6 +92,45 @@ class TestArithmetic:
         assert vecs == sorted(vecs)
 
 
+F2048 = Field(2, 11, (1, 0, 1) + (0,) * 8 + (1,))  # x^11 + x^2 + 1
+
+
+@pytest.mark.parametrize("field, exponents", [
+    (Field(11), (3, 7, 3)),
+    (Field(1031), (7, 3)),
+    (F2048, (3,)),
+], ids=repr)
+def test_vector_arithmetic_matches_coordinate_references(field, exponents):
+    """add, scalar_mul and neg against digit-wise sums, polynomial
+    products and digit-wise negation, coordinate by coordinate, on both
+    sides of TABLE_LIMIT."""
+    space = TwistedSpace(field, exponents)
+    p = field.p
+    rng = random.Random(field.order)
+
+    def ref_add(a, b):
+        return field.element(tuple((x + y) % p for x, y in zip(field.coeffs(a), field.coeffs(b))))
+
+    def ref_neg(a):
+        return field.element(tuple(-x % p for x in field.coeffs(a)))
+
+    def ref_twist(alpha, q):
+        out = 1
+        for _ in range(q):
+            out = field._raw_mul(out, alpha)
+        return out
+
+    for _ in range(60):
+        v = tuple(rng.randrange(field.order) for _ in range(space.n))
+        w = tuple(rng.randrange(field.order) for _ in range(space.n))
+        alpha = rng.randrange(field.order)
+        assert space.add(v, w) == tuple(map(ref_add, v, w))
+        assert space.neg(v) == tuple(map(ref_neg, v))
+        assert space.scalar_mul(alpha, v) == tuple(
+            field._raw_mul(ref_twist(alpha, q), x) for q, x in zip(space.exponents, v)
+        )
+
+
 SUMSET_BELOW_LIMIT = [(2, 1, (1,)), (2, 3, (1, 3)), (3, 2, (1, 5)), (11, 1, (3, 7, 3))]
 SUMSET_ABOVE_LIMIT = [
     (Field(1031), (7,)),
@@ -436,6 +475,9 @@ def _verify_raw(tmp_path, fixture):
     (lambda tmp: Field(5, 0), "extension degree"),
     (lambda tmp: Field(3, 2), "explicit modulus"),
     (lambda tmp: Field(3, 2, (1, 1)), "monic of degree 2"),
+    # int(c) used to read 1.9 as 1 and True as 1
+    (lambda tmp: Field(3, 2, (1.9, 0, 1)), "coefficients must be integers, got 1.9"),
+    (lambda tmp: Field(3, 2, (1, 0, True)), "coefficients must be integers, got True"),
     (lambda tmp: Field(5).element((1, 2)), "expected 1 coefficients"),
     (lambda tmp: Field(5).element((7,)), r"integers in \[0, 5\)"),
     (lambda tmp: nf.NearField([[0, 1], [1, 0]], [[0]]), "square and same-sized"),
@@ -443,18 +485,32 @@ def _verify_raw(tmp_path, fixture):
      r"entry \(1, 1\) is outside range\(2\)"),
     (lambda tmp: TwistedSpace(Field(5), ()), "at least one coordinate"),
     (lambda tmp: TwistedSpace(Field(5), (0,)), "exponents must be >= 1"),
+    # int(q) used to build (3.7, 7) as (3, 7) and ("3", True) as (3, 1)
+    (lambda tmp: TwistedSpace(Field(11), (3.7, 7)), "exponent 0 must be an integer, got 3.7"),
+    (lambda tmp: TwistedSpace(Field(11), (3, True)), "exponent 1 must be an integer, got True"),
+    (lambda tmp: TwistedSpace(Field(11), ("3", 7)), "exponent 0 must be an integer, got '3'"),
     (lambda tmp: check_axioms_raw([[0, 1], [1, 2]], []),
      r"add_table\[1\]\[1\] = 2 lies outside"),
     (lambda tmp: check_axioms_raw([1, 2], []), "lists of lists"),
     (lambda tmp: check_axioms_raw([[0, 1], [1]], []), "must be square"),
     (lambda tmp: check_axioms_raw([[0, 1], [1, 0]], [[0]]), "must list 2 images"),
     (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), ["nope"]), "unknown suite"),
+    # a string was read letter by letter, "xallx" ran every suite through a
+    # substring test, and "all" hid any name beside it
+    (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), "axioms"),
+     "must be a list or tuple, got 'axioms'"),
+    (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), "xallx"), "must be a list or tuple"),
+    (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), ["all", "bogus"]),
+     r"unknown suite\(s\): bogus$"),
     (lambda tmp: _verify_raw(tmp, []), "JSON object, not list"),
     (lambda tmp: _verify_raw(tmp, {"add_table": [[0]]}), "no 'endomorphisms' entry"),
 ], ids=["field_degree", "field_no_modulus", "field_modulus_degree",
+        "field_modulus_float", "field_modulus_bool",
         "element_length", "element_range", "near_field_shape", "near_field_entry",
-        "space_no_coordinates", "space_exponent", "raw_entry", "raw_shape",
-        "raw_square", "raw_images", "unknown_suite", "raw_fixture_list",
+        "space_no_coordinates", "space_exponent", "space_exponent_float",
+        "space_exponent_bool", "space_exponent_str", "raw_entry", "raw_shape",
+        "raw_square", "raw_images", "unknown_suite", "suites_string",
+        "suites_substring", "suites_all_and_unknown", "raw_fixture_list",
         "raw_fixture_key"])
 def test_malformed_input_raises_invalid_config_error(tmp_path, call, message):
     # a NearVecError for callers catching the package's errors, and still a

@@ -122,7 +122,7 @@ class Field:
     def __init__(self, p, r=1, modulus=None):
         if not isinstance(p, int):
             raise NonPrimeError(f"{p} is not prime")
-        if not isinstance(r, int) or r < 1:
+        if type(r) is not int or r < 1:  # bool too, as in validate_config
             raise InvalidConfigError(f"extension degree must be a positive integer, got {r}")
         # bounded before the power and the primality scan, which would
         # build an r-bit integer and take sqrt(p) steps

@@ -9,7 +9,7 @@ reruns that condition's all-pairs scan, the oracle of this module, to
 report the scan's first witness.
 """
 
-from .errors import InvalidMapError
+from .errors import InvalidMapError, InvalidVectorError
 from .report import jsonify
 from .space import vector_from_json
 
@@ -67,14 +67,15 @@ def _check_tables(space1, space2, theta, eta):
         raise InvalidMapError("'theta' must be defined on every vector of the source")
     if set(eta) != set(range(1, space1.field.order)):
         raise InvalidMapError("'eta' must be defined on every unit scalar of the source")
-    for image in theta.values():
-        if len(image) != space2.n or any(
-            not 0 <= x < space2.field.order for x in image
-        ):
-            raise InvalidMapError(f"'theta' image {image} is not a target vector")
-    for image in eta.values():
-        if not 1 <= image < space2.field.order:
-            raise InvalidMapError(f"'eta' image {image} is not a target unit")
+    for v, image in theta.items():
+        try:
+            space2.check_vector(image)
+        except InvalidVectorError as exc:
+            raise InvalidMapError(f"'theta' image of {v}: {exc}") from None
+    for a, image in eta.items():
+        # bool too: True would pass as the unit 1
+        if type(image) is not int or not 1 <= image < space2.field.order:
+            raise InvalidMapError(f"'eta' image of {a} is {image!r}, not a target unit")
 
 
 # -- all-pairs oracles: the first failing pair in enumeration order ---------

@@ -35,6 +35,9 @@ class NearField:
                 raise InvalidConfigError("operation tables must be square and same-sized")
             if cx is not None:
                 raise InvalidConfigError(f"operation table entry {cx} is outside range({n})")
+        for name, x in (("zero", zero), ("one", one)):
+            if type(x) is not int or not 0 <= x < n:
+                raise InvalidConfigError(f"{name} = {x!r} is outside range({n})")
         self.size = n
         self.zero = zero
         self.one = one

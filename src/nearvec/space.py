@@ -31,17 +31,12 @@ from .near_field import (
     homomorphism_failure,
     identity_failure,
     inverse_failure,
-    left_distributivity_failure,
     row_getter,
 )
 from .report import CheckReport
 
 MAX_SPACE_SIZE = 1 << 21
 MAX_RAW_CARRIER = 1 << 12
-
-# exhaustive O(|F|^3) certification of the ambient group/distributivity
-# laws is refused above this field order
-AXIOM_FIELD_LIMIT = 512
 
 # a class addition table holds |F|^2 entries; it is refused above this
 # field order (2^24 entries, about 130 MB of list slots)
@@ -562,112 +557,64 @@ def vector_from_json(space, data):
 # -- axiom verification ------------------------------------------------------
 
 
-def _field_group_and_distributivity(field):
-    """Exhaustive field-level certification of the laws that lift
-    coordinate-wise to V; cached on the field instance."""
-    cached = getattr(field, "_ambient_law_report", None)
-    if cached is not None:
-        return cached
-    if field.order > AXIOM_FIELD_LIMIT:
-        raise TooLargeError(
-            f"exhaustive law check refused for field order {field.order}"
-        )
-    add, mul = field.op_tables()
-    assoc = associativity_failure(add)
-    commute = commutativity_failure(add)
-    distrib = left_distributivity_failure(add, mul)
-    entries = {
-        "add_associative": (assoc is None, assoc),
-        "add_commutative": (commute is None, commute),
-        "add_identity": (identity_failure(add, 0) is None, None),
-        "add_inverses": (inverse_failure(add, 0) is None, None),
-        "scalar_distributes": (distrib is None, distrib),
-    }
-    field._ambient_law_report = entries
-    return entries
-
-
 def check_axioms(space):
-    """The five defining conditions of a near-vector space, certified
-    exhaustively for the twisted product construction.
+    """The five defining conditions of a near-vector space, certified for
+    the twisted product construction in O(n |F|) from the facts that
+    prove them.
 
-    Group laws and distributivity are verified at the field level and
-    lift coordinate-wise; fixed-point-freeness reduces exactly to
-    injectivity of every twist map (a violating vector has a nonzero
-    coordinate, and conversely e_i witnesses a non-injective psi_i).
+    1. (V, +) is F^n under coordinate-wise addition, an abelian group
+       because F is a field: its modulus is irreducible, or ``Field``
+       raises ReduciblePolynomialError.
+    2. Each psi_i fixes 0, 1 and -1, and -1 acts on F as negation.
+    3. alpha acts as the automorphism v -> (v_i psi_i(alpha)) of (V, +),
+       additive by distributivity in F, exactly when each psi_i is
+       bijective and multiplicative.  On an injective psi the row
+       psi(g y) = psi(g) psi(y), g the generator, is multiplicativity:
+       its cells y = 0 and y = 1 force psi(0) = 0 and psi(1) = 1, and
+       then psi(g^k y) = psi(g)^k psi(y) by induction on k, as in
+       ``hom.is_multiplicative``.
+    4. alpha v = beta v with v != 0 makes psi_i(alpha) = psi_i(beta) at a
+       nonzero coordinate, so the action is fixed point free exactly when
+       every psi_i is injective; e_i witnesses one that is not.  One
+       injectivity loop serves conditions 3 and 4.
+    5. Each e_i is supported inside one exponent class, so F e_i lies in
+       Q(V), and these n lines sum to V.
+
+    The oracles live in the tests: the field laws of 1 and 3 are
+    ``near_field.check_axioms(near_field.from_field(F))``, and all five
+    conditions ``check_axioms_raw`` on the space's explicit tables.
     """
     field = space.field
-    laws = _field_group_and_distributivity(field)
-    entries = {}
-
-    group_ok = all(laws[k][0] for k in
-                   ("add_associative", "add_commutative", "add_identity", "add_inverses"))
-    group_cx = None
-    if not group_ok:
-        for k in ("add_associative", "add_commutative", "add_identity", "add_inverses"):
-            if not laws[k][0]:
-                group_cx = (k, laws[k][1])
-                break
-    entries["1_additive_group"] = (group_ok, group_cx)
-
-    # 0, id, -id all lie in A: their twisted actions must match the
-    # zero map, identity and coordinate-wise negation on every element.
-    ok, cx = True, None
     neg_one = field.neg(1)
-    for i in range(space.n):
-        psi = space._psi[i]
-        if psi[0] != 0:
-            ok, cx = False, ("zero", i)
-            break
-        if psi[1] != 1:
-            ok, cx = False, ("id", i)
-            break
-        if psi[neg_one] != neg_one:
-            ok, cx = False, ("neg_id", i)
-            break
-    if ok:
-        for x in range(field.order):
-            if field.mul(neg_one, x) != field.neg(x):
-                ok, cx = False, ("neg_id_action", x)
-                break
-    entries["2_zero_id_negid"] = (ok, cx)
-
-    ok, cx = True, None
-    if not laws["scalar_distributes"][0]:
-        ok, cx = False, ("not_additive", laws["scalar_distributes"][1])
-    else:
-        mul = field.op_tables()[1]
-        for i, psi in enumerate(space._psi):
-            if len(set(psi)) != field.order:
-                ok, cx = False, ("not_bijective", i)
-                break
-            bad = homomorphism_failure(psi, mul, mul)
-            if bad is not None:
-                ok, cx = False, ("not_multiplicative", i, *bad)
-                break
-    entries["3_units_act_as_automorphisms"] = (ok, cx)
-
-    ok, cx = True, None
-    for i in range(space.n):
-        psi = space._psi[i]
+    g = field.generator()
+    times_g = row_getter(field.mul_row(g))
+    fixed = (("zero", 0), ("id", 1), ("neg_id", neg_one))
+    fixes = units = injective = None
+    for i, psi in enumerate(space._psi):
+        if fixes is None:
+            fixes = next(((tag, i) for tag, x in fixed if psi[x] != x), None)
         seen = {}
-        for a, image in enumerate(psi):
-            if image in seen:
-                e_i = tuple(1 if j == i else 0 for j in range(space.n))
-                ok, cx = False, (seen[image], a, e_i)
-                break
-            seen[image] = a
-        if not ok:
-            break
-    entries["4_fixed_point_free"] = (ok, cx)
-
-    qk = space.quasi_kernel()
-    generated = additive_closure(space, qk.sorted_members())
-    entries["5_quasi_kernel_generates"] = (
-        len(generated) == space.size,
-        None if len(generated) == space.size else ("generated_count", len(generated)),
-    )
-    return CheckReport(entries)
+        dup = next((a for a, x in enumerate(psi) if seen.setdefault(x, a) != a), None)
+        if dup is not None:
+            e_i = tuple(1 if j == i else 0 for j in range(space.n))
+            injective = injective or (seen[psi[dup]], dup, e_i)
+            units = units or ("not_bijective", i)
+        elif units is None:
+            left, right = times_g(psi), row_getter(psi)(field.mul_row(psi[g]))
+            if left != right:
+                units = ("not_multiplicative", i, g, first_mismatch(left, right))
+    negation, neg = field.mul_row(neg_one), field.neg_table()
+    if fixes is None and negation != neg:
+        fixes = ("neg_id_action", first_mismatch(negation, neg))
+    classed = len(space._class_of_coord)
+    lines = None if classed == space.n else ("generated_count", field.order ** classed)
+    return CheckReport({
+        "1_additive_group": (True, None),
+        "2_zero_id_negid": (fixes is None, fixes),
+        "3_units_act_as_automorphisms": (units is None, units),
+        "4_fixed_point_free": (injective is None, injective),
+        "5_quasi_kernel_generates": (lines is None, lines),
+    })
 
 
 def _check_entries(name, rows, n):

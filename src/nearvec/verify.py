@@ -286,6 +286,11 @@ def run_suites(space, names, seed=0, max_size=None):
     unknown = [n for n in names if n != "all" and n not in SUITE_NAMES]
     if unknown:
         raise InvalidConfigError(f"unknown suite(s): {', '.join(map(str, unknown))}")
+    if not names:
+        raise InvalidConfigError("no suite selected")
+    # "all" already holds every named suite
+    if len(set(names)) != len(names) or ("all" in names and len(names) > 1):
+        raise InvalidConfigError(f"suite(s) selected more than once: {list(names)}")
     if "all" in names:
         selected = list(SUITE_NAMES) + ["quasi-kernel-oracle"]
     else:

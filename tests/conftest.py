@@ -18,6 +18,7 @@ MODULI = {
     (7, 2): (1, 0, 1),
     (11, 2): (1, 0, 1),
     (13, 2): (2, 0, 1),
+    (2, 11): (1, 0, 1) + (0,) * 8 + (1,),  # x^11 + x^2 + 1
 }
 
 # The sweep corpus: p in {3,5,7,11,13} x r in {1,2}, n <= 3.  The r = 1

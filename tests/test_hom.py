@@ -115,6 +115,25 @@ def test_fp_basis_spans_the_additive_group():
 
 # -- map validation -------------------------------------------------------------
 
+
+@pytest.mark.parametrize("corrupt, message", [
+    # a list image never equals a tuple, so the identity used to fail
+    (lambda theta, eta: theta.update({(1,): [1]}), "'theta' image of (1,): [1] is not"),
+    (lambda theta, eta: theta.update({(1,): 1}), "'theta' image of (1,): 1 is not"),
+    (lambda theta, eta: theta.update({(1,): (1.0,)}), "coordinate 0 of (1.0,)"),
+    (lambda theta, eta: theta.update({(1,): (3,)}), "coordinate 0 of (3,)"),
+    (lambda theta, eta: eta.update({1: True}), "'eta' image of 1 is True"),
+    (lambda theta, eta: eta.update({2: 2.0}), "'eta' image of 2 is 2.0"),
+], ids=["theta_list", "theta_int", "theta_float", "theta_range", "eta_bool",
+        "eta_float"])
+def test_tables_passed_directly_are_validated(corrupt, message):
+    space = get_space(3, 1, (1,))
+    theta, eta = identity_map(space)
+    corrupt(theta, eta)
+    with pytest.raises(InvalidMapError, match=re.escape(message)):
+        hom.hom_check(space, space, theta, eta)
+
+
 CONFIG = {"p": 5, "r": 1, "modulus_poly": None, "exponents": [1, 3]}
 IDENTITY = {
     "theta": [[a, b] for a in range(5) for b in range(5)],

@@ -266,14 +266,56 @@ class TestQuasiKernel:
 Z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
 
 
+def space_tables(space):
+    """The explicit addition table of V and the action of every scalar,
+    over the enumerated vectors: the input of ``check_axioms_raw``."""
+    vectors = space.vectors()
+    index = {v: i for i, v in enumerate(vectors)}
+    add = [[index[space.add(v, w)] for w in vectors] for v in vectors]
+    endos = [
+        [index[space.scalar_mul(a, v)] for v in vectors]
+        for a in range(space.field.order)
+    ]
+    return add, endos
+
+
 class TestAxioms:
     @pytest.mark.parametrize(
-        "key", [(11, 1, (3, 7, 3)), (5, 1, (1, 1)), (3, 2, (1, 5)), (2, 2, (1, 2))],
+        "key", [(11, 1, (3, 7, 3)), (5, 1, (1, 1)), (3, 2, (1, 5)), (2, 2, (1, 2)),
+                # above the dense-table limit, and a million vectors
+                (4099, 1, (1,)), (2, 11, (1,)), (101, 1, (1, 1, 1))],
         ids=str,
     )
     def test_twisted_spaces_pass_all_five(self, key):
         report = check_axioms(get_space(*key))
         assert report.all_pass, report.failed()
+
+    # the raw scans are O(|V|^3): the 625- and 729-vector spaces stay out
+    @pytest.mark.parametrize(
+        "key", [k for k in CORPUS if k[0] ** (k[1] * len(k[2])) <= 343], ids=str,
+    )
+    def test_certificate_agrees_with_raw_oracle(self, key):
+        space = get_space(*key)
+        raw = check_axioms_raw(*space_tables(space))
+        assert check_axioms(space).all_pass == raw.all_pass, raw.failed()
+
+    @pytest.mark.parametrize("psi, failed", [
+        # not injective: -1 is moved and e_2 is fixed by 1 and 2
+        ([0] + [1] * 6, {"2_zero_id_negid", "4_fixed_point_free"}),
+        # a bijection fixing 0, 1 and -1 that is not multiplicative
+        ([0, 1, 3, 2, 4, 5, 6], {"3_units_act_as_automorphisms"}),
+    ], ids=["constant", "swap_2_3"])
+    def test_corrupted_twist_fails_both_checkers(self, psi, failed):
+        space = TwistedSpace(Field(7), (1, 1))
+        space._psi[1] = psi
+        certified = check_axioms(space)
+        raw = check_axioms_raw(*space_tables(space))
+        for report in (certified, raw):
+            assert not report.all_pass
+            if len(failed) == 1:
+                assert report.failed() == sorted(failed)
+            else:
+                assert failed <= set(report.failed())
 
     def test_raw_field_acting_on_itself_passes(self):
         f = Field(7)
@@ -473,6 +515,8 @@ def _verify_raw(tmp_path, fixture):
 
 @pytest.mark.parametrize("call, message", [
     (lambda tmp: Field(5, 0), "extension degree"),
+    # isinstance(r, int) used to build GF(11) with r = True
+    (lambda tmp: Field(11, True), "positive integer, got True"),
     (lambda tmp: Field(3, 2), "explicit modulus"),
     (lambda tmp: Field(3, 2, (1, 1)), "monic of degree 2"),
     # int(c) used to read 1.9 as 1 and True as 1
@@ -483,6 +527,9 @@ def _verify_raw(tmp_path, fixture):
     (lambda tmp: nf.NearField([[0, 1], [1, 0]], [[0]]), "square and same-sized"),
     (lambda tmp: nf.NearField([[0, 1], [1, 2]], [[0, 0], [0, 1]]),
      r"entry \(1, 1\) is outside range\(2\)"),
+    # check_axioms used to index the tables at zero = 5
+    (lambda tmp: nf.NearField([[0, 1], [1, 0]], [[0, 0], [0, 1]], zero=5),
+     r"zero = 5 is outside range\(2\)"),
     (lambda tmp: TwistedSpace(Field(5), ()), "at least one coordinate"),
     (lambda tmp: TwistedSpace(Field(5), (0,)), "exponents must be >= 1"),
     # int(q) used to build (3.7, 7) as (3, 7) and ("3", True) as (3, 1)
@@ -502,16 +549,24 @@ def _verify_raw(tmp_path, fixture):
     (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), "xallx"), "must be a list or tuple"),
     (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), ["all", "bogus"]),
      r"unknown suite\(s\): bogus$"),
+    # an empty selection used to pass with no suite run, a repeated one
+    # to run its suite twice
+    (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), []), "no suite selected"),
+    (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), ["axioms", "axioms"]),
+     "selected more than once"),
+    (lambda tmp: verify.run_suites(get_space(5, 1, (1,)), ["all", "axioms"]),
+     "selected more than once"),
     (lambda tmp: _verify_raw(tmp, []), "JSON object, not list"),
     (lambda tmp: _verify_raw(tmp, {"add_table": [[0]]}), "no 'endomorphisms' entry"),
-], ids=["field_degree", "field_no_modulus", "field_modulus_degree",
-        "field_modulus_float", "field_modulus_bool",
+], ids=["field_degree", "field_degree_bool", "field_no_modulus",
+        "field_modulus_degree", "field_modulus_float", "field_modulus_bool",
         "element_length", "element_range", "near_field_shape", "near_field_entry",
-        "space_no_coordinates", "space_exponent", "space_exponent_float",
-        "space_exponent_bool", "space_exponent_str", "raw_entry", "raw_shape",
-        "raw_square", "raw_images", "unknown_suite", "suites_string",
-        "suites_substring", "suites_all_and_unknown", "raw_fixture_list",
-        "raw_fixture_key"])
+        "near_field_zero", "space_no_coordinates", "space_exponent",
+        "space_exponent_float", "space_exponent_bool", "space_exponent_str",
+        "raw_entry", "raw_shape", "raw_square", "raw_images", "unknown_suite",
+        "suites_string", "suites_substring", "suites_all_and_unknown",
+        "suites_empty", "suites_repeated", "suites_all_and_axioms",
+        "raw_fixture_list", "raw_fixture_key"])
 def test_malformed_input_raises_invalid_config_error(tmp_path, call, message):
     # a NearVecError for callers catching the package's errors, and still a
     # ValueError for those catching the builtin

@@ -125,20 +125,29 @@ def fp_basis(space):
     ]
 
 
+def _commutes(theta, rows1, rows2):
+    """theta(R1 x) = R2 theta(x) for every x, where R reads coordinate j
+    of a vector through the field row ``rows[j]``.  Column-wise, as in
+    ``TwistedSpace.multiples``: one row per coordinate, read at the
+    whole column, so a row built afresh above TABLE_LIMIT costs O(|F|)
+    once per coordinate, not once per vector."""
+    sources = zip(*map(map, [row.__getitem__ for row in rows1], zip(*theta)))
+    images = zip(*map(map, [row.__getitem__ for row in rows2], zip(*theta.values())))
+    return [*map(theta.__getitem__, sources)] == [*images]
+
+
 def is_additive(space1, space2, theta):
     """theta(0) = 0 and theta(x + g) = theta(x) + theta(g) for every x and
     every F_p-basis vector g.  Sufficient because every y is a sum of
     basis vectors: induction on the number of summands gives
-    theta(x + y) = theta(x) + theta(y)."""
+    theta(x + y) = theta(x) + theta(y).  Coordinate j of x + g is the
+    add row of g_j read at x_j."""
     if theta[space1.zero] != space2.zero:
         return False
-    add1, add2 = space1.add, space2.add
-    for g in fp_basis(space1):
-        tg = theta[g]
-        for x, tx in theta.items():
-            if theta[add1(x, g)] != add2(tx, tg):
-                return False
-    return True
+    add1, add2 = space1.field.add_row, space2.field.add_row
+    return all(
+        _commutes(theta, map(add1, g), map(add2, theta[g])) for g in fp_basis(space1)
+    )
 
 
 def is_multiplicative(space1, space2, eta):
@@ -160,13 +169,13 @@ def is_multiplicative(space1, space2, eta):
 def intertwines_primitive(space1, space2, theta, eta):
     """theta(gamma x) = eta(gamma) theta(x) for a primitive gamma and
     every x.  With eta multiplicative this covers every scalar, because
-    gamma^k acts as k successive steps of gamma."""
-    gamma = space1.field.generator()
-    image = eta[gamma]
-    for x, tx in theta.items():
-        if theta[space1.scalar_mul(gamma, x)] != space2.scalar_mul(image, tx):
-            return False
-    return True
+    gamma^k acts as k successive steps of gamma.  Coordinate j of a x is
+    the mul row of psi_j(a), coordinate j of a (1, ..., 1), read at x_j."""
+    f1, f2 = space1.field, space2.field
+    gamma = f1.generator()
+    twists1 = space1.scalar_mul(gamma, (1,) * space1.n)
+    twists2 = space2.scalar_mul(eta[gamma], (1,) * space2.n)
+    return _commutes(theta, map(f1.mul_row, twists1), map(f2.mul_row, twists2))
 
 
 def _entry(name, witness):

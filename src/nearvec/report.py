@@ -7,6 +7,7 @@ walk and without the copy.
 """
 
 import json
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 
@@ -25,7 +26,12 @@ def dumps(value):
     """``json.dumps(jsonify(value), indent=2, sort_keys=True)``, byte for
     byte.  With ``indent`` set, CPython encodes through its pure-Python
     encoder, one generator per container; this walk joins each container
-    once, and a list of plain ints in a single ``str.join``."""
+    once, a list of plain ints in one ``str.join``, and a list of
+    equal-length rows, a member listing say, in one ``%`` format of its
+    row template repeated: plain int cells fill ``%d`` slots, list and
+    tuple cells ``%s`` slots, each distinct cell object rendered once
+    (``vectors_to_json`` shares one per element).  Other rows take the
+    general walk."""
     return _dumps(value, "\n")
 
 
@@ -46,10 +52,7 @@ def _dumps(value, newline):
         if not value:
             return "[]"
         inner = newline + "  "
-        if {*map(type, value)} == {int}:  # bools and int subclasses excluded
-            body = ("," + inner).join(map(str, value))
-        else:
-            body = ("," + inner).join([_dumps(v, inner) for v in value])
+        body = _flat(value, inner) or ("," + inner).join([_dumps(v, inner) for v in value])
         return "[" + inner + body + newline + "]"
     if isinstance(value, (set, frozenset)):
         return _dumps(jsonify(value), newline)
@@ -57,6 +60,30 @@ def _dumps(value, newline):
         return int.__repr__(value)
     # bools, None and floats; anything else raises as json.dumps does
     return json.dumps(value)
+
+
+def _flat(items, inner):
+    # the body of a list written with no call per child, as ``dumps``
+    # says, or None
+    types = {*map(type, items)}
+    if types == {int}:  # bools and int subclasses excluded
+        return ("," + inner).join(map(str, items))
+    if not types <= {list, tuple} or len({*map(len, items)}) != 1 or not items[0]:
+        return None
+    cells = [*chain.from_iterable(items)]
+    types = {*map(type, cells)}
+    cell = inner + "  "
+    if types == {int}:
+        slot = "%d"
+    elif types <= {list, tuple}:
+        slot = "%s"
+        ids = [*map(id, cells)]
+        text = {k: _dumps(c, cell) for k, c in dict(zip(ids, cells)).items()}
+        cells = map(text.__getitem__, ids)
+    else:
+        return None
+    row = "[" + cell + ("," + cell).join([slot] * len(items[0])) + inner + "]"
+    return ("," + inner).join([row] * len(items)) % (*cells,)
 
 
 class CheckReport:

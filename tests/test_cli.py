@@ -1,5 +1,6 @@
 """End-to-end CLI tests: commands, exit codes and JSON output."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -458,8 +459,52 @@ _json_scalars = hst.one_of(
     hst.text(hst.characters(min_codepoint=0x80)),
     hst.frozensets(hst.lists(hst.integers(-3, 3), max_size=3).map(tuple)),
 )
+# equal-length rows, which report.dumps writes one template per row
+_int_rows = hst.integers(1, 3).flatmap(lambda k: hst.lists(
+    hst.one_of(hst.lists(hst.integers(), min_size=k, max_size=k),
+               hst.lists(hst.integers(), min_size=k, max_size=k).map(tuple)),
+    min_size=1, max_size=5,
+))
+
+
+@hst.composite
+def _aliased_rows(draw):
+    """Rows of coefficient lists shared between cells, as
+    ``vectors_to_json`` writes them for r > 1."""
+    elements = draw(hst.lists(
+        hst.one_of(hst.lists(hst.integers(0, 6), min_size=2, max_size=2),
+                   hst.lists(hst.integers(0, 6), max_size=2).map(tuple)),
+        min_size=1, max_size=3,
+    ))
+    k = draw(hst.integers(1, 3))
+    picks = hst.lists(hst.sampled_from(elements), min_size=k, max_size=k)
+    return draw(hst.lists(picks, min_size=1, max_size=5))
+
+
+@hst.composite
+def _near_miss_rows(draw):
+    """Int rows with one flaw that must send them down the general walk
+    or render as the stdlib does: a bool or a float in a row, one row of
+    another length, an empty row, or a row mixing ints and lists."""
+    rows = [list(row) for row in draw(_int_rows)]
+    i = draw(hst.integers(0, len(rows) - 1))
+    j = draw(hst.integers(0, len(rows[i]) - 1))
+    flaw = draw(hst.sampled_from(["bool", "float", "length", "empty", "list"]))
+    if flaw == "bool":
+        rows[i][j] = draw(hst.booleans())
+    elif flaw == "float":
+        rows[i][j] = draw(hst.floats())
+    elif flaw == "length":
+        rows[i] = rows[i][1:] if draw(hst.booleans()) else rows[i] + [0]
+    elif flaw == "empty":
+        rows[i] = []
+    else:
+        rows[i][j] = draw(hst.lists(hst.integers(), max_size=2))
+    return rows
+
+
 _json_values = hst.recursive(
-    _json_scalars,
+    hst.one_of(_json_scalars, _int_rows, _aliased_rows(), _near_miss_rows()),
     lambda children: hst.one_of(
         hst.lists(children, max_size=4),
         hst.lists(children, max_size=4).map(tuple),
@@ -476,6 +521,11 @@ _json_values = hst.recursive(
 @given(_json_values)
 @example({1: "a", "1": "b"})
 @example([True, 1])
+@example([[1, 2], (3, 4)])
+@example([[1, True], [2, 3]])
+@example([[[], []], [[], []]])
+@example([[], []])
+@example({"members": [[[1, 0], [2, 3]], [[1, 0], [1, 0]]]})
 @example({"a": [[], {}, (), frozenset()], "b": [[[]]]})
 def test_dumps_matches_the_stdlib_encoder(value):
     assert dumps(value) == json.dumps(jsonify(value), indent=2, sort_keys=True)
@@ -495,6 +545,30 @@ def test_json_stdout_is_the_stdlib_encoding(write_config, capsys, config, comman
     assert main([command, write_config(config), *extra, "--json"]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+# sha256 of the whole stdout, so a listing that re-encodes to itself
+# but differs in content or order still fails
+@pytest.mark.parametrize("config, argv, digest, listed", [
+    ({"p": 13, "r": 1, "modulus_poly": None, "exponents": [1, 5, 7]},
+     ["span", "[3,4,5]"],
+     "147c2c6a8623c879b9605b5ac25728a18bb1523e9dd9fbc9a5fe16933515d4db", 2197),
+    (GF49_CONFIG, ["decompose"],
+     "60183e42c9972e5c71e5a2cfb1470676ca7481c8532cc085953112047fb1106f", None),
+    # the member limit at its edge: 4096 members listed, 4913 not
+    ({"p": 2, "r": 6, "modulus_poly": [1, 1, 0, 0, 0, 0, 1], "exponents": [1, 1]},
+     ["qk"], "2255dc11557dc8c29ec7b70b09fbdd2724880619c11c7c4e915cb676a693ff46", 4096),
+    ({"p": 17, "r": 1, "modulus_poly": None, "exponents": [1, 1, 1]},
+     ["qk"], "96a66d151adf03b0505103f44052f10c212ab8af7df72aebd5843e034111dc9e", 0),
+], ids=["span-gf13", "decompose-gf49", "qk-gf64-listed", "qk-gf17-unlisted"])
+def test_json_stdout_is_pinned(write_config, capsys, config, argv, digest, listed):
+    command, *extra = argv
+    assert main([command, write_config(config), *extra, "--json"]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    if listed is not None:
+        assert len(json.loads(out).get("members", [])) == listed
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_parser_is_built_once_and_reused(write_config, capsys):

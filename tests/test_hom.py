@@ -11,6 +11,7 @@ from conftest import get_space
 from nearvec import hom
 from nearvec.cli import main
 from nearvec.errors import InvalidMapError, NearVecError
+from nearvec.finite_field import TABLE_LIMIT
 from nearvec.space import additive_closure
 
 # (p, r, exponents), |V| <= 125 so the all-pairs oracle stays cheap
@@ -54,6 +55,10 @@ def test_fast_route_agrees_with_oracle_on_endomorphisms(entry, kind):
     report = hom.hom_check(space, space, theta, eta)
     assert report["pass"] is True
     assert report == hom.hom_check_oracle(space, space, theta, eta)
+    # each generator check passes alone, with no rescan behind it
+    assert hom.is_additive(space, space, theta)
+    assert hom.is_multiplicative(space, space, eta)
+    assert hom.intertwines_primitive(space, space, theta, eta)
 
 
 @pytest.mark.parametrize("entry", SPACES, ids=_space_id)
@@ -104,6 +109,32 @@ def test_eta_failing_only_at_the_full_period_is_caught():
     report = hom.hom_check(source, target, theta, eta)
     assert report == hom.hom_check_oracle(source, target, theta, eta)
     assert [c["pass"] for c in report["checks"]] == [True, False, True]
+
+
+def test_every_fp_basis_generator_is_checked():
+    """theta(a, b) = (a, b^2) is additive along (1, 0), the first F_p
+    basis vector, and along no other."""
+    space = get_space(5, 1, (1, 3))
+    _, eta = identity_map(space)
+    theta = {(a, b): (a, b * b % 5) for a, b in space.vectors()}
+    assert not hom.is_additive(space, space, theta)
+    report = hom.hom_check(space, space, theta, eta)
+    assert report == hom.hom_check_oracle(space, space, theta, eta)
+    assert report["checks"][0]["pass"] is False
+
+
+def test_generator_checks_above_the_table_limit():
+    """GF(1031) has no cached rows, so each column reads a row built
+    afresh; the identity passes, and one corrupted image fails the two
+    conditions theta takes part in."""
+    space = get_space(1031, 1, (1,))
+    assert space.field.order > TABLE_LIMIT
+    theta, eta = identity_map(space)
+    assert hom.hom_check(space, space, theta, eta)["pass"] is True
+    theta[(5,)] = (6,)
+    report = hom.hom_check(space, space, theta, eta)
+    assert [c["pass"] for c in report["checks"]] == [False, True, False]
+    assert report["checks"][0]["witness"] == [[1], [4]]
 
 
 def test_fp_basis_spans_the_additive_group():

@@ -129,10 +129,11 @@ class TwistedSpace:
         self._vectors = None
         self._quasi_kernel = None
         self._class_add_tables = {}
-        # structure._addition_table's memo: vector -> definitional +_v
-        # table, equal tables interned through their tuple form
-        self._addition_tables = {}
-        self._interned_addition_tables = {}
+        # per-space memos: _orbit_sums' vector -> (table, escape), its
+        # tables interned by tuple form, and span._dim_layers' layers
+        self._resolved_orbits = {}
+        self._interned_tables = {}
+        self._dim_layer_cache = None
 
     @staticmethod
     def _reduce(q, m):
@@ -433,9 +434,15 @@ def _orbit_sums(space, v):
     coordinate's raw sum is col[gamma], col being injective.  Returns
     (table, None) when every pair's sum does, else (None, (a, b)) for
     the first pair in row-major order whose sum leaves the orbit (a and
-    b are then nonzero, since 0 v + b v = b v); rows are resolved in
-    order, so the scan stops at the first row holding such a pair.
+    b are then nonzero, since 0 v + b v = b v), the scan stopping there.
+
+    Memoised on the space: each orbit is resolved once, whichever oracle
+    asks first.  Equal tables are interned, so two vectors share +_v
+    exactly when their tables are one object, which must not be mutated.
     """
+    resolved = space._resolved_orbits.get(v)
+    if resolved is not None:
+        return resolved
     order = space.field.order
     add_row = space.field.add_row
     cols = [col for x, col in zip(v, zip(*space.multiples(v))) if x]
@@ -446,7 +453,7 @@ def _orbit_sums(space, v):
     back = {c: g for g, c in enumerate(cols[0])}.__getitem__
     raw_rows = zip(*[map(itemgetter(*col), map(add_row, col)) for col in cols])
     rest = cols[1:]
-    table = []
+    table, escape = [], None
     for a, (sums, *more) in enumerate(raw_rows):
         row = list(map(back, sums))
         if rest:
@@ -455,16 +462,20 @@ def _orbit_sums(space, v):
                 first_mismatch(s, t) for s, t in zip(more, map(at_row, rest)) if s != t
             ]
             if escapes:
-                return None, (a, min(escapes))
+                table, escape = None, (a, min(escapes))
+                break
         table.append(row)
-    return table, None
+    else:
+        table = space._interned_tables.setdefault(tuple(map(tuple, table)), table)
+    resolved = space._resolved_orbits[v] = table, escape
+    return resolved
 
 
 def quasi_kernel_bruteforce(space):
     """Q(V) straight from the definition: v is kept iff v = 0 or for all
     scalars alpha, beta some gamma has alpha v + beta v = gamma v.  The
-    orbit lookup is ``_orbit_sums``, the resolver that also builds the
-    definitional induced additions.  Exponential-cost oracle."""
+    orbit lookup is ``_orbit_sums``, whose memo the induced additions and
+    the maximality witnesses read too.  Exponential-cost oracle."""
     zero = space.zero
     return QuasiKernel(space, (
         v for v in space.iter_vectors()

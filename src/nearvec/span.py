@@ -20,7 +20,7 @@ from .errors import (
     NotInQuasiKernelError,
     TooLargeError,
 )
-from .space import additive_closure, vectors_to_json
+from .space import _additive_closure, vectors_to_json
 
 INDEPENDENCE_SCAN_LIMIT = 1 << 22
 
@@ -141,7 +141,7 @@ def linear_combinations(space, v):
 
     This is the same route as ``subspace_closure_oracle(space, [v])``,
     not an independent oracle: both close the scaled generators under
-    addition with ``additive_closure``.
+    addition with ``_additive_closure``.
     """
     return subspace_closure_oracle(space, [v])
 
@@ -157,7 +157,9 @@ def subspace_closure_oracle(space, generators):
     for g in generators:
         space.check_vector(g)
     scaled = sorted({w for g in generators for w in space.multiples(g)})
-    return frozenset(additive_closure(space, scaled))
+    return frozenset(
+        _additive_closure(space.add, space.sumset, space.zero, scaled, space.size)
+    )
 
 
 def subspace_closure_naive(space, generators, limit=512):
@@ -275,9 +277,8 @@ def _dim_layers(space):
     closed under the action.  The search stops once every nonzero vector
     has a depth, as a further layer could only find nothing.
     """
-    cached = getattr(space, "_dim_layer_cache", None)
-    if cached is not None:
-        return cached
+    if space._dim_layer_cache is not None:
+        return space._dim_layer_cache
     qstar = space.quasi_kernel().sorted_nonzero()
     add = space.add
     level = {q: (None, q) for q in qstar}  # v -> (previous vector, q summand)

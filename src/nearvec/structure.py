@@ -18,12 +18,11 @@ division-ring laws with the near-field table scans
 (``left_distributivity_failure``, ``right_distributivity_failure``), so
 they certify the closed form rather than share it.
 
-``_addition_table`` is the one cache of these definitional tables: a memo
-on the space, kept as long as the space, that resolves each vector's
-orbit once and interns equal tables so they share one list.  Like
-``class_addition_table``'s tables, which only ``InducedAddition`` and
-``CoordinateMap.addition_table`` read, they are shared, so callers must
-not mutate them.
+``_orbit_sums`` memoises each vector's resolve on the space, whichever
+of these oracles or the brute-force Q(V) asks first, and interns equal
+tables.  Like ``class_addition_table``'s tables, which only
+``InducedAddition`` and ``CoordinateMap.addition_table`` read, they are
+shared, so callers must not mutate them.
 """
 
 import operator
@@ -84,20 +83,11 @@ def _require_quasi_nonzero(space, v):
 
 
 def _addition_table(space, v):
-    """The definitional +_v table from the orbit of v (``_orbit_sums``);
-    NotInQuasiKernelError when a scalar pair's sum leaves the orbit.
-
-    Memoised on the space for its lifetime, keyed by vector, with equal
-    tables interned: two vectors share +_v exactly when their tables are
-    the same object.  The table is shared, so it must not be mutated."""
-    table = space._addition_tables.get(v)
-    if table is None:
-        table, escape = _orbit_sums(space, v)
-        if escape is not None:
-            raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
-        interned = space._interned_addition_tables
-        table = interned.setdefault(tuple(map(tuple, table)), table)
-        space._addition_tables[v] = table
+    """The definitional +_v table, ``_orbit_sums``' interned one;
+    NotInQuasiKernelError when a scalar pair's sum leaves the orbit."""
+    table, escape = _orbit_sums(space, v)
+    if escape is not None:
+        raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
     return table
 
 
@@ -363,7 +353,7 @@ def regularity_equivalences(space):
     qk = space.quasi_kernel()
     qstar = qk.sorted_nonzero()
 
-    # _addition_table interns equal tables, so the verdict caches below
+    # _orbit_sums interns equal tables, so the verdict caches below
     # key on identity and each distinct table is checked once
     def cached(scan):
         verdicts = {}
@@ -630,8 +620,8 @@ def _reassembled(space, deco, v):
 
 def maximality_witness(space, component, outsider):
     """Evidence that adjoining ``outsider`` breaks the component's shared
-    addition: either it has no induced addition at all (a scalar pair
-    escapes its orbit) or its definitional table differs from the
+    addition, read off its memoised ``_orbit_sums``: a scalar pair that
+    escapes its orbit, or a definitional table differing from the
     component's closed-form one.  HypothesisUnmetError for a vector
     inside the component: zero, or a vector of its class."""
     cid = space.class_of(outsider)
@@ -639,12 +629,9 @@ def maximality_witness(space, component, outsider):
         raise HypothesisUnmetError(
             f"{outsider} lies inside the component of class {component.class_id}"
         )
-    # a memo hit is a vector of Q(V) resolved to this very table
-    table = space._addition_tables.get(outsider)
-    if table is None:
-        table, escape = _orbit_sums(space, outsider)
-        if escape is not None:
-            return ("not_in_quasi_kernel", escape)
+    table, escape = _orbit_sums(space, outsider)
+    if escape is not None:
+        return ("not_in_quasi_kernel", escape)
     for a, (row, ref) in enumerate(zip(table, component.induced.table)):
         if row != ref:
             return ("different_addition", component.induced.base_vector,

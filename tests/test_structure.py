@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import CORPUS, corpus_spaces, get_space
+from conftest import CORPUS, corpus_spaces, get_field, get_space
 from nearvec import near_field as nf
 from nearvec import span as spn
 from nearvec import structure as st
@@ -21,7 +21,18 @@ from nearvec.errors import (
     ZeroVectorError,
 )
 from nearvec.finite_field import TABLE_LIMIT, Field
-from nearvec.space import CLASS_TABLE_LIMIT, ExponentClass, TwistedSpace
+from nearvec.space import (
+    CLASS_TABLE_LIMIT,
+    ExponentClass,
+    TwistedSpace,
+    quasi_kernel_bruteforce,
+)
+
+# the four spaces of the verify_all benchmark workload
+VERIFY_ALL_SPACES = (
+    (11, 1, (3, 7, 3)), (11, 1, (1, 1, 1)), (11, 2, (7,)), (2, 3, (1, 3)),
+)
+NON_REGULAR = [key for key in CORPUS if len(get_space(*key).classes) > 1]
 
 
 class TestInducedAddition:
@@ -73,19 +84,23 @@ class TestInducedAddition:
             st._addition_table(space, (1, 1, 0))
 
     def test_verify_all_resolves_each_table_once(self, monkeypatch):
-        # a fresh space, so the memo starts empty
-        space = TwistedSpace(Field(11), (3, 7, 3))
-        resolve = st._orbit_sums
-        calls = Counter()
+        # fresh spaces, so each memo starts empty: a raw resolve is the
+        # read of v's multiples inside _orbit_sums, whoever asked for it,
+        # and the brute-force Q(V) asks for every nonzero vector
+        for p, r, exponents in VERIFY_ALL_SPACES:
+            space = TwistedSpace(get_field(p, r), exponents)
+            multiples = space.multiples
+            resolves = Counter()
 
-        def counting(space_, v):
-            if sys._getframe(1).f_code is st._addition_table.__code__:
-                calls[v] += 1
-            return resolve(space_, v)
+            def counting(v, multiples=multiples, resolves=resolves):
+                if sys._getframe(1).f_code is st._orbit_sums.__code__:
+                    resolves[v] += 1
+                return multiples(v)
 
-        monkeypatch.setattr(st, "_orbit_sums", counting)
-        assert verify.run_suites(space, ["all"])["pass"]
-        assert calls and max(calls.values()) == 1
+            monkeypatch.setattr(space, "multiples", counting)
+            assert verify.run_suites(space, ["all"])["pass"], space
+            assert len(resolves) == space.size - 1, space
+            assert max(resolves.values()) == 1, (space, resolves.most_common(1))
 
     def test_defining_property(self):
         space = get_space(11, 1, (3, 7, 3))
@@ -636,22 +651,50 @@ class TestDecomposition:
         assert "members" not in vars(comp)
 
     def test_maximality_witness_reads_the_addition_memo(self, monkeypatch):
-        # a memoised outsider is not resolved again, and its witness is
-        # the one its full resolve gave
+        # an outsider whose table _addition_table resolved is not resolved
+        # again, and its witness is the one a full resolve gives
+        fresh = TwistedSpace(Field(11), (3, 7, 3))
+        comp = st.decompose(fresh).components[1]
+        others = [v for v in fresh.quasi_kernel().sorted_nonzero()
+                  if v not in comp.members][:20]
+        expected = [st.maximality_witness(fresh, comp, v) for v in others]
+        assert all(w[0] == "different_addition" for w in expected)
         space = TwistedSpace(Field(11), (3, 7, 3))
         comp = st.decompose(space).components[1]
-        others = [v for v in space.quasi_kernel().sorted_nonzero()
-                  if v not in comp.members][:20]
-        expected = [st.maximality_witness(space, comp, v) for v in others]
-        assert all(w[0] == "different_addition" for w in expected)
         for v in others:
             st._addition_table(space, v)
 
-        def refuse(space_, v):
+        def refuse(v):
             raise AssertionError(f"{v} resolved again")
 
-        monkeypatch.setattr(st, "_orbit_sums", refuse)
+        monkeypatch.setattr(space, "multiples", refuse)
         assert [st.maximality_witness(space, comp, v) for v in others] == expected
+
+    @pytest.mark.parametrize("key", NON_REGULAR, ids=str)
+    def test_oracles_agree_whichever_resolves_first(self, key):
+        # the orbit memo is filled by whichever oracle asks first; a fresh
+        # space and one filled first by the brute-force Q(V) give the same
+        # witnesses, tables, interning (the first vector sharing each
+        # vector's table object) and Q(V) for every vector
+        def results(space):
+            witnesses = [
+                st.maximality_witness(space, comp, v)
+                for comp in st.decompose(space).components
+                for v in space.iter_vectors()
+                if v != space.zero and space.class_of(v) != comp.class_id
+            ]
+            qstar = space.quasi_kernel().sorted_nonzero()
+            tables = [st._addition_table(space, v) for v in qstar]
+            first = {}
+            shared = [first.setdefault(id(t), v) for v, t in zip(qstar, tables)]
+            return witnesses, tables, shared, quasi_kernel_bruteforce(space).members
+
+        p, r, exponents = key
+        fresh = TwistedSpace(get_field(p, r), exponents)
+        brute_first = TwistedSpace(get_field(p, r), exponents)
+        quasi_kernel_bruteforce(brute_first)
+        assert len(brute_first._resolved_orbits) == brute_first.size - 1
+        assert results(fresh) == results(brute_first)
 
     def test_decomposition_report_serializes(self):
         payload = st.decompose(get_space(5, 1, (1, 3))).to_json()

@@ -10,6 +10,7 @@ report the scan's first witness.
 """
 
 from .errors import InvalidMapError, InvalidVectorError
+from .near_field import row_getter
 from .report import jsonify
 from .space import vector_from_json
 
@@ -151,19 +152,18 @@ def is_additive(space1, space2, theta):
 
 
 def is_multiplicative(space1, space2, eta):
-    """eta(gamma^k) = eta(gamma)^k for a primitive gamma and k = 0..|F*|;
-    the last step, at gamma^|F*| = 1, forces eta(gamma)^|F*| = 1, so the
-    exponents of eta(gamma) add modulo |F*| as those of gamma do."""
+    """eta(gamma y) = eta(gamma) eta(y) for a primitive gamma and every
+    unit y, as two rows: eta read at the mul row of gamma, against the
+    mul row of eta(gamma) read at the images of eta.  The cell y = 1
+    forces eta(1) = 1, induction on k gives eta(gamma^k) = eta(gamma)^k,
+    and at gamma^|F*| = 1 it forces eta(gamma)^|F*| = 1, so the exponents
+    of eta(gamma) add modulo |F*| as those of gamma do."""
     f1, f2 = space1.field, space2.field
     gamma = f1.generator()
-    image = eta[gamma]
-    power, expected = 1, 1
-    for _ in range(f1.mult_order + 1):
-        if eta[power] != expected:
-            return False
-        power = f1.mul(power, gamma)
-        expected = f2.mul(expected, image)
-    return True
+    units = range(1, f1.order)
+    left = row_getter(f1.mul_row(gamma)[1:])(eta)
+    right = row_getter(row_getter(units)(eta))(f2.mul_row(eta[gamma]))
+    return left == right
 
 
 def intertwines_primitive(space1, space2, theta, eta):

@@ -8,6 +8,7 @@ annihilates on both sides.  Everything is checked by brute force; the
 carriers are tiny, so an O(n^3) certifying scan is the honest tool.
 """
 
+from itertools import product
 from operator import itemgetter
 
 from .errors import ConstructionFailedError, InvalidConfigError, TooLargeError
@@ -58,30 +59,29 @@ class NearField:
 
     def char(self):
         """Additive order of one (prime for every structure built here)."""
-        x = self.one
-        k = 1
-        while x != self.zero:
-            x = self.add[x][self.one]
-            k += 1
-        return k
+        return self.add_order(self.one)
 
     def add_order(self, a):
-        x = a
-        k = 1
-        while x != self.zero:
-            x = self.add[x][a]
-            k += 1
-        return k
+        return self._order(self.add, "addition", a, self.zero)
 
     def mul_order(self, a):
         if a == self.zero:
             return 0
+        return self._order(self.mul, "multiplication", a, self.one)
+
+    def _order(self, table, name, a, identity):
+        """The least k with a^k = identity, walking x -> x a.  An order in
+        a group of at most ``size`` elements is at most ``size``, so a
+        longer walk shows the table forms no group."""
         x = a
-        k = 1
-        while x != self.one:
-            x = self.mul[x][a]
-            k += 1
-        return k
+        for k in range(1, self.size + 1):
+            if x == identity:
+                return k
+            x = table[x][a]
+        raise InvalidConfigError(
+            f"{a} has no order under the {name} table: "
+            f"{self.size} steps from it never reach {identity}"
+        )
 
     def __repr__(self):
         return f"NearField(size={self.size}, provenance={self.provenance!r})"
@@ -190,24 +190,31 @@ def left_distributivity_failure(add, mul):
     return None
 
 
-def right_distributivity_failure(add, mul):
-    """(a, b, c) for the first (a + b)c != ac + bc, else None.
-
-    With a and c fixed both sides run over b: column c of mul read at
-    row a of add, against row ac of add read at column c.  The first
-    failing a is that of the row-major scan, whose first failing (b, c)
-    is then found cell by cell.
-    """
+def _right_distributes(add, mul):
+    """holds(a, c): (a + b)c = ac + bc for every b.  Both sides run over
+    b: column c of mul read at row a of add, against row ac of add read
+    at column c."""
     cols = list(zip(*mul))
     add_get = list(map(row_getter, add))
     col_get = list(map(row_getter, cols))
+
+    def holds(a, c):
+        return add_get[a](cols[c]) == col_get[c](add[mul[a][c]])
+
+    return holds
+
+
+def right_distributivity_failure(add, mul):
+    """(a, b, c) for the first (a + b)c != ac + bc, else None.  The first
+    failing a is that of the row-major scan, whose first failing (b, c)
+    is then found cell by cell."""
+    holds = _right_distributes(add, mul)
     els = range(len(add))
-    for a, ma in enumerate(mul):
-        plus_a = add_get[a]
-        if any(plus_a(cols[c]) != col_get[c](add[ac]) for c, ac in enumerate(ma)):
+    for a in els:
+        if not all(holds(a, c) for c in els):
             return next(
                 (a, b, c) for b in els for c in els
-                if mul[add[a][b]][c] != add[ma[c]][mul[b][c]]
+                if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]
             )
     return None
 
@@ -260,20 +267,11 @@ def check_axioms(nf):
     return CheckReport(entries)
 
 
-def right_distributive_counterexample(nf):
-    """A triple (a, b, c) with (a+b)c != ac + bc, or None."""
-    return right_distributivity_failure(nf.add, nf.mul)
-
-
 def distributive_elements(nf):
-    """All k with (a+b)k = ak + bk for every a, b (the law the axioms skip)."""
-    add, mul = nf.add, nf.mul
-    els = range(nf.size)
-    out = set()
-    for k in els:
-        if all(mul[add[a][b]][k] == add[mul[a][k]][mul[b][k]] for a in els for b in els):
-            out.add(k)
-    return frozenset(out)
+    """All c with (a + b)c = ac + bc for every a, b (the law the axioms skip)."""
+    holds = _right_distributes(nf.add, nf.mul)
+    els = nf.elements()
+    return frozenset(c for c in els if all(holds(a, c) for a in els))
 
 
 def dickson9():
@@ -306,84 +304,64 @@ def dickson9():
                 table.append(row)
             candidate = NearField(add, table, provenance=("dickson", 9))
             if check_axioms(candidate).all_pass and (
-                right_distributive_counterexample(candidate) is not None
+                right_distributivity_failure(candidate.add, candidate.mul) is not None
             ):
                 return candidate
     raise ConstructionFailedError("no Frobenius coupling convention passed")
 
 
-def find_isomorphism(n1, n2):
-    """A bijection preserving both operations, or None if provably absent.
+def _spanning_tree(mul, roots, gens):
+    """Walk breadth-first from ``roots`` along x -> x g for g in gens:
+    the elements reached, and (z, x, i) for each z first reached as
+    x gens[i], in the order reached."""
+    reached = set(roots)
+    walk, edges = list(reached), []
+    for x in walk:
+        for i, g in enumerate(gens):
+            z = mul[x][g]
+            if z not in reached:
+                reached.add(z)
+                walk.append(z)
+                edges.append((z, x, i))
+    return reached, edges
 
-    Backtracking over element images, pruned by additive and
-    multiplicative element orders; sizes are capped so the search stays
-    a certificate rather than a gamble.
+
+def find_isomorphism(n1, n2):
+    """A bijection preserving both operations, zero and one, or None if
+    there is none.
+
+    Such a map restricts to a group isomorphism N1* -> N2*, so the images
+    of a generating set of N1* determine it: f(x g) = f(x) f(g) along
+    the tree that reaches every element from 0, 1 and the generators.
+    The generators are taken greedily, and each choice of images of equal
+    multiplicative order is extended and kept when it is bijective and
+    preserves both tables.  Sizes are capped so the search stays a
+    certificate rather than a gamble.
     """
-    if n1.size != n2.size:
+    if n1.size != n2.size or (n1.zero == n1.one) != (n2.zero == n2.one):
         return None
     if n1.size > ISO_SEARCH_LIMIT:
         raise TooLargeError(
             f"isomorphism search capped at {ISO_SEARCH_LIMIT} elements"
         )
-
-    def profile(nf, x):
-        return (nf.add_order(x), nf.mul_order(x), x == nf.zero, x == nf.one)
-
-    prof2 = {}
-    for y in n2.elements():
-        prof2.setdefault(profile(n2, y), []).append(y)
-    candidates = {}
-    for x in n1.elements():
-        cands = prof2.get(profile(n1, x), [])
-        if not cands:
-            return None
-        candidates[x] = cands
-    order = sorted(n1.elements(), key=lambda x: len(candidates[x]))
-
-    mapping = {}
-    used = set()
-
-    def consistent(x, y):
-        for a, fa in mapping.items():
-            for u, v, fu, fv in ((x, a, y, fa), (a, x, fa, y)):
-                s = n1.add[u][v]
-                if s in mapping and mapping[s] != n2.add[fu][fv]:
-                    return False
-                t = n1.mul[u][v]
-                if t in mapping and mapping[t] != n2.mul[fu][fv]:
-                    return False
-        s = n1.add[x][x]
-        if s in mapping and mapping[s] != n2.add[y][y]:
-            return False
-        t = n1.mul[x][x]
-        if t in mapping and mapping[t] != n2.mul[y][y]:
-            return False
-        return True
-
-    def extend(i):
-        if i == len(order):
-            return True
-        x = order[i]
-        for y in candidates[x]:
-            if y in used:
-                continue
-            if not consistent(x, y):
-                continue
-            mapping[x] = y
-            used.add(y)
-            if extend(i + 1):
-                return True
-            del mapping[x]
-            used.discard(y)
-        return False
-
-    if not extend(0):
-        return None
-    # full verification; the partial checks above are only pruning
-    for a in n1.elements():
-        for b in n1.elements():
-            if mapping[n1.add[a][b]] != n2.add[mapping[a]][mapping[b]]:
-                return None
-            if mapping[n1.mul[a][b]] != n2.mul[mapping[a]][mapping[b]]:
-                return None
-    return dict(mapping)
+    gens, reached, edges = [], (n1.zero, n1.one), []
+    for x in n1.nonzero():
+        if x not in reached:
+            gens.append(x)
+            reached, edges = _spanning_tree(n1.mul, (n1.zero, n1.one, *gens), gens)
+    orders = {y: n2.mul_order(y) for y in n2.nonzero()}
+    choices = [[y for y in orders if orders[y] == k] for k in map(n1.mul_order, gens)]
+    for images in product(*choices):
+        f = [None] * n1.size
+        f[n1.zero], f[n1.one] = n2.zero, n2.one
+        for g, y in zip(gens, images):
+            f[g] = y
+        for z, x, i in edges:
+            f[z] = n2.mul[f[x]][images[i]]
+        if (
+            len(set(f)) == n1.size
+            and homomorphism_failure(f, n1.add, n2.add) is None
+            and homomorphism_failure(f, n1.mul, n2.mul) is None
+        ):
+            return dict(enumerate(f))
+    return None

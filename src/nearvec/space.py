@@ -640,7 +640,15 @@ def _check_entries(name, rows, n):
 
 def check_axioms_raw(add_table, endos):
     """The same five conditions for an explicit group table and
-    endomorphism set; the negative fixtures enter through here."""
+    endomorphism set; the negative fixtures enter through here.
+
+    Condition 3 asks that the nonzero maps be bijective and additive,
+    contain the identity and be closed under composition, found as the
+    first entry missing from their composition table.  Inverses need no
+    scan of their own: a bijection f of a finite set has finite order m,
+    so f^(m-1) = f^-1 is a composite of f's, in any set of bijections
+    closed under composition that holds f.
+    """
     seq = (list, tuple)
     if not (
         isinstance(add_table, seq)
@@ -705,7 +713,7 @@ def check_axioms_raw(add_table, endos):
         ok, cx = False, ("missing_neg_id",)
     entries["2_zero_id_negid"] = (ok, cx)
 
-    units = [m for m in maps if m != zero_map]
+    units = list(dict.fromkeys(m for m in maps if m != zero_map))
     ok, cx = True, None
     for m in units:
         if len(set(m)) != n:
@@ -715,43 +723,25 @@ def check_axioms_raw(add_table, endos):
         if bad is not None:
             ok, cx = False, ("not_additive", maps.index(m), *bad)
             break
+    if ok and id_map not in units:
+        ok, cx = False, ("identity_missing_from_units",)
     if ok:
-        unit_set = set(units)
-        if id_map not in unit_set:
-            ok, cx = False, ("identity_missing_from_units",)
-    if ok:
-        for f in units:
-            for g in units:
-                comp = tuple(f[g[x]] for x in els)
-                if comp not in unit_set:
-                    ok, cx = False, ("not_closed_under_composition",
-                                     maps.index(f), maps.index(g))
-                    break
-            if not ok:
-                break
-    if ok:
-        for f in units:
-            inv_f = [0] * n
-            for x in els:
-                inv_f[f[x]] = x
-            if tuple(inv_f) not in unit_set:
-                ok, cx = False, ("inverse_map_missing", maps.index(f))
-                break
+        # row f, column g: the index of f o g among the units, -1 if absent
+        index = {f: i for i, f in enumerate(units)}
+        bad = closure_failure(
+            [[index.get(row_getter(g)(f), -1) for g in units] for f in units]
+        )
+        if bad is not None:
+            ok, cx = False, ("not_closed_under_composition",
+                             *(maps.index(units[i]) for i in bad))
     entries["3_units_act_as_automorphisms"] = (ok, cx)
 
-    ok, cx = True, None
-    for ia, f in enumerate(maps):
-        for ib in range(ia + 1, len(maps)):
-            g = maps[ib]
-            for x in els:
-                if x != identity and f[x] == g[x]:
-                    ok, cx = False, (ia, ib, x)
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    entries["4_fixed_point_free"] = (ok, cx)
+    cx = next(
+        ((ia, ib, x) for ia, f in enumerate(maps) for ib in range(ia + 1, len(maps))
+         for x in els if x != identity and f[x] == maps[ib][x]),
+        None,
+    )
+    entries["4_fixed_point_free"] = (cx is None, cx)
 
     quasi = []
     for x in els:

@@ -76,10 +76,13 @@ class InducedAddition:
 
 
 def _require_quasi_nonzero(space, v):
-    if space.class_of(v) is None:
+    """The exponent class of v, which must be a nonzero member of Q(V)."""
+    cid = space.class_of(v)
+    if cid is None:
         if v == space.zero:
             raise ZeroVectorError("the zero vector induces no addition")
         raise NotInQuasiKernelError(f"{v} is not in the quasi-kernel")
+    return cid
 
 
 def _addition_table(space, v):
@@ -93,8 +96,7 @@ def _addition_table(space, v):
 
 def induced_addition(space, v):
     """The full +_v table, built definitionally from the orbit of v."""
-    _require_quasi_nonzero(space, v)
-    cid = space.class_of(v)
+    cid = _require_quasi_nonzero(space, v)
     return InducedAddition(space, v, cid, _addition_table(space, v))
 
 
@@ -103,9 +105,9 @@ def induced_addition_closed_form(space, v):
     a +_v b = (a^q + b^q)^(1/q), built when first read; the
     definitional route must agree.  A field above CLASS_TABLE_LIMIT is
     refused here, before anything reads the table."""
-    _require_quasi_nonzero(space, v)
+    cid = _require_quasi_nonzero(space, v)
     space.check_class_table_bound()
-    return InducedAddition(space, v, space.class_of(v))
+    return InducedAddition(space, v, cid)
 
 
 def induced_nearfield(space, v):

@@ -2,12 +2,15 @@
 
 import json
 import random
+import signal
+from contextlib import contextmanager
+from itertools import permutations
 
 import pytest
 
-from conftest import get_field
+from conftest import MODULI, get_field
 from nearvec import near_field as nf
-from nearvec.errors import TooLargeError
+from nearvec.errors import InvalidConfigError, TooLargeError
 from nearvec.finite_field import Field
 
 FIELD_KEYS = [(2, 1), (3, 1), (5, 1), (7, 1), (11, 1), (13, 1),
@@ -19,16 +22,21 @@ def test_field_near_fields_pass_all_axioms(key):
     structure = nf.from_field(get_field(*key))
     report = nf.check_axioms(structure)
     assert report.all_pass, report.failed()
-    assert nf.right_distributive_counterexample(structure) is None
+    assert nf.right_distributivity_failure(structure.add, structure.mul) is None
     assert nf.distributive_elements(structure) == frozenset(structure.elements())
 
 
-def test_axiom_checker_reports_counterexamples():
-    n = 4
-    bad = nf.NearField(
+def max_product_structure(n=4):
+    """max as addition and the product mod n: square tables in range,
+    but neither forms a group."""
+    return nf.NearField(
         [[max(a, b) for b in range(n)] for a in range(n)],
         [[(a * b) % n for b in range(n)] for a in range(n)],
     )
+
+
+def test_axiom_checker_reports_counterexamples():
+    bad = max_product_structure()
     report = nf.check_axioms(bad)
     assert not report.all_pass
     assert "add_inverses" in report.failed()
@@ -54,7 +62,7 @@ class TestDickson9:
 
     def test_right_distributivity_fails(self):
         d9 = nf.dickson9()
-        cx = nf.right_distributive_counterexample(d9)
+        cx = nf.right_distributivity_failure(d9.add, d9.mul)
         assert cx is not None
         a, b, c = cx
         lhs = d9.mul[d9.add[a][b]][c]
@@ -69,7 +77,6 @@ class TestDickson9:
             if mul[add[a][b]][c] != add[mul[a][c]][mul[b][c]]
         )
         assert nf.right_distributivity_failure(add, mul) == first
-        assert nf.right_distributive_counterexample(d9) == first
 
     def test_distributive_elements_are_the_prime_subfield(self):
         assert nf.distributive_elements(nf.dickson9()) == frozenset({0, 1, 2})
@@ -114,6 +121,106 @@ def test_isomorphism_reflexive_and_symmetric():
             assert bwd[other9.add[a][b]] == g9.add[bwd[a]][bwd[b]]
 
 
+@contextmanager
+def deadline(seconds):
+    """Fail, rather than hang, a block that runs past ``seconds``."""
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def relabelled(structure, seed):
+    """A copy of ``structure`` with its elements renamed by a seeded
+    permutation."""
+    n = structure.size
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    inv = [0] * n
+    for x, y in enumerate(perm):
+        inv[y] = x
+    add, mul = ([[perm[t[inv[a]][inv[b]]] for b in range(n)] for a in range(n)]
+                for t in (structure.add, structure.mul))
+    return nf.NearField(add, mul, zero=perm[structure.zero], one=perm[structure.one])
+
+
+def is_isomorphism(f, n1, n2):
+    """Cell by cell: f is a bijection carrying zero, one and both tables."""
+    els = n1.elements()
+    return (
+        sorted(f) == sorted(f.values()) == list(els)
+        and f[n1.zero] == n2.zero and f[n1.one] == n2.one
+        and all(f[n1.add[a][b]] == n2.add[f[a]][f[b]]
+                and f[n1.mul[a][b]] == n2.mul[f[a]][f[b]] for a in els for b in els)
+    )
+
+
+def _small_near_fields():
+    for key in MODULI:
+        if key[0] ** key[1] <= 64:
+            yield pytest.param(key, id=str(key))
+    yield pytest.param("dickson9", id="dickson9")
+
+
+@pytest.mark.parametrize("key", _small_near_fields())
+def test_isomorphism_found_against_a_relabelled_copy(key):
+    structure = nf.dickson9() if key == "dickson9" else nf.from_field(get_field(*key))
+    copy = relabelled(structure, seed=structure.size)
+    for n1, n2 in ((structure, copy), (copy, structure)):
+        iso = nf.find_isomorphism(n1, n2)
+        assert iso is not None and is_isomorphism(iso, n1, n2)
+
+
+def test_dickson9_is_not_isomorphic_to_a_relabelled_gf9():
+    d9 = nf.dickson9()
+    g9 = relabelled(nf.from_field(get_field(3, 2)), seed=9)
+    assert nf.find_isomorphism(d9, g9) is None
+    assert nf.find_isomorphism(g9, d9) is None
+
+
+def test_isomorphism_search_is_complete_on_corrupted_tables():
+    # one cell of a small field's tables changed: no longer a near-field,
+    # but still isomorphic to its relabelled copy whenever every
+    # multiplicative order exists; a copy with one more cell changed is
+    # judged against an exhaustive search over the relabellings
+    rng = random.Random(7)
+    found = 0
+    for key in ((2, 1), (3, 1), (2, 2), (5, 1), (7, 1)):
+        base = nf.from_field(get_field(*key))
+        n = base.size
+        for _ in range(40):
+            tables = [[list(row) for row in t] for t in (base.add, base.mul)]
+            rng.choice(tables)[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+            n1 = nf.NearField(*tables)
+            n2 = relabelled(n1, seed=rng.randrange(1 << 16))
+            if rng.random() < 0.5:
+                tables = [[list(row) for row in t] for t in (n2.add, n2.mul)]
+                rng.choice(tables)[rng.randrange(n)][rng.randrange(n)] = rng.randrange(n)
+                n2 = nf.NearField(*tables, zero=n2.zero, one=n2.one)
+            try:
+                with deadline(10):
+                    iso = nf.find_isomorphism(n1, n2)
+            except InvalidConfigError:
+                continue
+            rest = [x for x in n1.elements() if x not in (n1.zero, n1.one)]
+            exhaustive = any(
+                is_isomorphism({n1.zero: n2.zero, n1.one: n2.one, **dict(zip(rest, images))},
+                               n1, n2)
+                for images in permutations(y for y in n2.elements()
+                                           if y not in (n2.zero, n2.one))
+            )
+            assert (iso is not None) == exhaustive
+            assert iso is None or is_isomorphism(iso, n1, n2)
+            found += iso is not None
+    assert found
+
+
 def test_isomorphism_rejects_different_sizes_and_large_inputs():
     g5 = nf.from_field(Field(5))
     g7 = nf.from_field(Field(7))
@@ -130,6 +237,17 @@ def test_char_and_element_orders():
     assert all(d9.add_order(x) == 3 for x in d9.nonzero())
     g4 = nf.from_field(get_field(2, 2))
     assert g4.char() == 2
+
+
+def test_order_walks_refuse_tables_that_form_no_group():
+    # 1 + 1 = 1 under max, so the additive walk from 1 never meets 0; 2 * 2
+    # = 0 mod 4, so the multiplicative walk from 2 never meets 1
+    bad = max_product_structure()
+    with deadline(5):
+        with pytest.raises(InvalidConfigError, match="1 has no order under the addition table"):
+            bad.char()
+        with pytest.raises(InvalidConfigError, match="2 has no order under the multiplication table"):
+            nf.find_isomorphism(bad, bad)
 
 
 def test_unique_order_two_element_in_odd_characteristic():

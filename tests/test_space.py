@@ -2,7 +2,9 @@
 
 import json
 import random
+from functools import reduce
 from itertools import product
+from operator import xor
 
 import pytest
 
@@ -397,6 +399,10 @@ class TestAxioms:
             "5_quasi_kernel_generates": ["quasi_kernel", [0], "generated_count", 1],
         },
         "trivial": {"3_units_act_as_automorphisms": ["identity_missing_from_units"]},
+        "z5_unclosed_units": {
+            "3_units_act_as_automorphisms": ["not_closed_under_composition", 2, 3],
+            "5_quasi_kernel_generates": ["quasi_kernel", [0], "generated_count", 1],
+        },
     }
 
     @staticmethod
@@ -424,6 +430,9 @@ class TestAxioms:
         z5[1][1] = 3
         yield "nonassociative_z5", z5, [(0,) * 5, tuple(range(5)), (0, 4, 3, 2, 1)]
         yield "trivial", [[0]], [(0,)]
+        # 4 o 2 = 3 is missing from {0, 1, 4, 2} acting on Z_5
+        z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+        yield "z5_unclosed_units", z5, [tuple(k * x % 5 for x in range(5)) for k in (0, 1, 4, 2)]
 
     def test_raw_reports_are_unchanged(self):
         cases = list(self.raw_cases())
@@ -437,6 +446,83 @@ class TestAxioms:
     def test_raw_size_bound(self):
         with pytest.raises(TooLargeError):
             check_axioms_raw([[0] * 5000] * 5000, [])
+
+
+# -- condition 3 against its cell-by-cell reference ---------------------------
+#
+# ``check_axioms_raw`` finds the first composite missing from the units
+# through the composition table, and checks no inverses; this reference
+# walks the definition pair by pair, inverses included, so both must give
+# the same entry.
+
+
+def units_reference(add, maps):
+    """Condition 3 on a group with identity 0: every nonzero map bijective
+    and additive, the identity among them, every composite and every
+    inverse present; the first failure as ``check_axioms_raw`` tags it."""
+    n = len(add)
+    els = range(n)
+    units = [m for m in maps if m != (0,) * n]
+    for m in units:
+        if len(set(m)) != n:
+            return ("not_bijective", maps.index(m))
+        for a in els:
+            for b in els:
+                if m[add[a][b]] != add[m[a]][m[b]]:
+                    return ("not_additive", maps.index(m), a, b)
+    unit_set = set(units)
+    if tuple(els) not in unit_set:
+        return ("identity_missing_from_units",)
+    for f in units:
+        for g in units:
+            if tuple(f[g[x]] for x in els) not in unit_set:
+                return ("not_closed_under_composition", maps.index(f), maps.index(g))
+    for f in units:
+        inv_f = [0] * n
+        for x in els:
+            inv_f[f[x]] = x
+        if tuple(inv_f) not in unit_set:
+            return ("inverse_map_missing", maps.index(f))
+    return None
+
+
+def _groups_with_endomorphisms():
+    """(add, endomorphisms) of Z_n for n <= 9, x -> kx, and of Z_2^k for
+    k <= 3 as bit vectors, x -> the sum of the images of its bits."""
+    for n in range(1, 10):
+        add = [[(a + b) % n for b in range(n)] for a in range(n)]
+        yield add, [tuple(k * x % n for x in range(n)) for k in range(n)]
+    for k in range(1, 4):
+        n = 1 << k
+        add = [[a ^ b for b in range(n)] for a in range(n)]
+        endos = [
+            tuple(reduce(xor, (y for i, y in enumerate(images) if x >> i & 1), 0)
+                  for x in range(n))
+            for images in product(range(n), repeat=k)
+        ]
+        yield add, endos
+
+
+def test_units_condition_matches_cell_reference_on_endomorphism_sets():
+    rng = random.Random(24)
+    tags = set()
+    for add, endos in _groups_with_endomorphisms():
+        n = len(add)
+        for _ in range(200):
+            maps = rng.sample(endos, rng.randint(1, min(len(endos), 6)))
+            # the zero and identity maps usually, a map that is no
+            # endomorphism now and then
+            maps += [m for m in (endos[0], tuple(range(n))) if rng.random() < 0.8]
+            if rng.random() < 0.1:
+                maps.append(tuple(rng.randrange(n) for _ in range(n)))
+            rng.shuffle(maps)
+            expected = units_reference(add, maps)
+            entry = check_axioms_raw(add, maps).entries["3_units_act_as_automorphisms"]
+            assert entry == (expected is None, expected), (add, maps)
+            tags.add(expected and expected[0])
+    assert {None, "not_bijective", "not_additive", "not_closed_under_composition",
+            "identity_missing_from_units"} <= tags
+    assert "inverse_map_missing" not in tags
 
 
 class TestSerialization:

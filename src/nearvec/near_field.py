@@ -54,6 +54,12 @@ class NearField:
     def neg(self, a):
         if self._neg is None:
             zero = self.zero
+            bad = next((x for x, row in enumerate(self.add) if zero not in row), None)
+            if bad is not None:
+                raise InvalidConfigError(
+                    f"{bad} has no negative: row {bad} of the addition table "
+                    f"never reaches {zero}"
+                )
             self._neg = [row.index(zero) for row in self.add]
         return self._neg[a]
 
@@ -97,10 +103,17 @@ def from_field(field):
 #
 # Each scan walks a dense table over {0, ..., n-1} in row-major order and
 # returns the first failing tuple, or None when the law holds.  The cubic
-# laws compare whole rows at once, each side read through
-# ``operator.itemgetter``; only the first failing row is then walked cell
-# by cell for the witness.  Every table-law check in the package runs
-# through these.
+# laws compare whole rows at once, each side a read of one row at the
+# entries of another through ``encode_rows``; only the first failing row
+# is then walked cell by cell for the witness.  Every table-law check in
+# the package runs through these.
+#
+# A carrier of at most 256 elements fits a row in ``bytes``, and then a
+# read is one ``bytes.translate`` call through the other row padded to the
+# 256 entries of a translation table.  A larger carrier, or a table with a
+# ragged row or an entry out of range, has no such encoding and reads
+# through ``row_getter`` and tuples.  The bound is the byte alphabet, so
+# it follows from the table and nothing selects it.
 
 
 def row_getter(row):
@@ -109,6 +122,36 @@ def row_getter(row):
     if len(row) > 1:
         return itemgetter(*row)
     return lambda seq: tuple(seq[x] for x in row)
+
+
+def _read_tuples(key, lut):
+    return row_getter(key)(lut)
+
+
+def encode_rows(*tables):
+    """(read, (keys, luts) for each table), the tables encoded once for
+    whole-row reads: read(keys[x], luts[y]) is row y read at the entries
+    of row x, [y[e] for e in x], in the form of a key, so reads chain and
+    compare with keys.
+
+    When every row of every table has the same length n <= 256 and
+    entries in range(n), a key is the row as ``bytes``, a lut the row
+    padded to 256 bytes, and read is ``bytes.translate``.  Otherwise keys
+    are tuples, luts the rows as given, and read goes through
+    ``row_getter``.
+    """
+    tables = [list(t) for t in tables]
+    rows = [row for t in tables for row in t]
+    n = len(rows[0]) if rows else 0
+    if n <= 256 and all(
+        len(row) == n and (not n or 0 <= min(row) and max(row) < n) for row in rows
+    ):
+        pad = bytes(256 - n)
+        return (bytes.translate, *(
+            (keys, [key + pad for key in keys])
+            for keys in (list(map(bytes, t)) for t in tables)
+        ))
+    return (_read_tuples, *((list(map(tuple, t)), t) for t in tables))
 
 
 def first_mismatch(left, right):
@@ -131,11 +174,11 @@ def closure_failure(table):
 def associativity_failure(t):
     """(a, b, c) for the first (ab)c != a(bc): row ab of t against
     row a read at the entries of row b."""
-    rows = list(map(tuple, t))
-    get = list(map(row_getter, t))
+    read, (keys, luts) = encode_rows(t)
     for a, ta in enumerate(t):
+        lut = luts[a]
         for b, ab in enumerate(ta):
-            left, right = rows[ab], get[b](ta)
+            left, right = keys[ab], read(keys[b], lut)
             if left != right:
                 return (a, b, first_mismatch(left, right))
     return None
@@ -179,12 +222,11 @@ def left_distributivity_failure(add, mul):
     """(a, b, c) for the first a(b + c) != ab + ac, else None: row a of
     mul read at row b of add, against row ab of add read at row a of
     mul."""
-    add_get = list(map(row_getter, add))
-    mul_get = list(map(row_getter, mul))
+    read, (add_keys, add_luts), (mul_keys, mul_luts) = encode_rows(add, mul)
     for a, ma in enumerate(mul):
-        times_a = mul_get[a]
+        key, lut = mul_keys[a], mul_luts[a]
         for b, ab in enumerate(ma):
-            left, right = add_get[b](ma), times_a(add[ab])
+            left, right = read(add_keys[b], lut), read(key, add_luts[ab])
             if left != right:
                 return (a, b, first_mismatch(left, right))
     return None
@@ -194,12 +236,10 @@ def _right_distributes(add, mul):
     """holds(a, c): (a + b)c = ac + bc for every b.  Both sides run over
     b: column c of mul read at row a of add, against row ac of add read
     at column c."""
-    cols = list(zip(*mul))
-    add_get = list(map(row_getter, add))
-    col_get = list(map(row_getter, cols))
+    read, (add_keys, add_luts), (col_keys, col_luts) = encode_rows(add, zip(*mul))
 
     def holds(a, c):
-        return add_get[a](cols[c]) == col_get[c](add[mul[a][c]])
+        return read(add_keys[a], col_luts[c]) == read(col_keys[c], add_luts[mul[a][c]])
 
     return holds
 
@@ -222,9 +262,9 @@ def right_distributivity_failure(add, mul):
 def homomorphism_failure(f, src, dst):
     """(a, b) for the first f(a src b) != f(a) dst f(b), else None: f
     read at row a of src, against row f(a) of dst read at f."""
-    at_f = row_getter(f)
-    for a, row in enumerate(src):
-        left, right = row_getter(row)(f), at_f(dst[f[a]])
+    read, ((f_key,), (f_lut,)), (src_keys, _), (_, dst_luts) = encode_rows([f], src, dst)
+    for a, key in enumerate(src_keys):
+        left, right = read(key, f_lut), read(f_key, dst_luts[f[a]])
         if left != right:
             return (a, first_mismatch(left, right))
     return None

@@ -13,7 +13,6 @@ brute force so the two can certify each other.
 from dataclasses import dataclass
 from itertools import chain, product
 from math import gcd
-from operator import itemgetter
 
 from .errors import (
     InvalidConfigError,
@@ -27,6 +26,7 @@ from .near_field import (
     associativity_failure,
     closure_failure,
     commutativity_failure,
+    encode_rows,
     first_mismatch,
     homomorphism_failure,
     identity_failure,
@@ -130,9 +130,11 @@ class TwistedSpace:
         self._quasi_kernel = None
         self._class_add_tables = {}
         # per-space memos: _orbit_sums' vector -> (table, escape), its
-        # tables interned by tuple form, and span._dim_layers' layers
+        # tables interned by their encoded rows, the field's add rows as
+        # its lookup tables, and span._dim_layers' layers
         self._resolved_orbits = {}
         self._interned_tables = {}
+        self._add_luts = None
         self._dim_layer_cache = None
 
     @staticmethod
@@ -266,6 +268,11 @@ class TwistedSpace:
         components, one per class, so v lies in Q(V)* exactly when this is
         not None: the membership test that needs no enumerated Q(V)."""
         self.check_vector(v)
+        return self._class_of(v)
+
+    def _class_of(self, v):
+        """``class_of`` without ``check_vector``, for vectors the library
+        built itself."""
         cids = {self._class_of_coord[i] for i in self.support(v)}
         if len(cids) == 1:
             return next(iter(cids))
@@ -436,6 +443,14 @@ def _orbit_sums(space, v):
     the first pair in row-major order whose sum leaves the orbit (a and
     b are then nonzero, since 0 v + b v = b v), the scan stopping there.
 
+    Each of these is a whole-row read of ``near_field.encode_rows``.  On
+    a field of at most 256 elements it is one ``bytes.translate`` call,
+    through the field's add rows that the space keeps as 256-byte
+    translation tables, built once from ``Field.add_row``.  Above that
+    it is an ``operator.itemgetter`` read of tuples, through the field's
+    own rows.  The columns, pos and the add rows are all rows over the
+    field, so they share one encoding.
+
     Memoised on the space: each orbit is resolved once, whichever oracle
     asks first.  Equal tables are interned, so two vectors share +_v
     exactly when their tables are one object, which must not be mutated.
@@ -443,30 +458,38 @@ def _orbit_sums(space, v):
     resolved = space._resolved_orbits.get(v)
     if resolved is not None:
         return resolved
-    order = space.field.order
-    add_row = space.field.add_row
+    field = space.field
+    order = field.order
     cols = [col for x, col in zip(v, zip(*space.multiples(v))) if x]
     if not cols or any(len(set(col)) != order for col in cols):
         # the zero vector, whose multiples are all zero, or a twist that
         # is not injective
         raise InvariantError(f"scalar action is not fixed point free on {v}")
-    back = {c: g for g, c in enumerate(cols[0])}.__getitem__
-    raw_rows = zip(*[map(itemgetter(*col), map(add_row, col)) for col in cols])
-    rest = cols[1:]
-    table, escape = [], None
-    for a, (sums, *more) in enumerate(raw_rows):
-        row = list(map(back, sums))
-        if rest:
-            at_row = itemgetter(*row)
-            escapes = [
-                first_mismatch(s, t) for s, t in zip(more, map(at_row, rest)) if s != t
-            ]
-            if escapes:
-                table, escape = None, (a, min(escapes))
-                break
-        table.append(row)
+    # pos, the inverse of the first column, read at that column's raw sums
+    pos = sorted(range(order), key=cols[0].__getitem__)
+    read, ((key, *keys), (_, *luts)), (_, (pos,)) = encode_rows(cols, [pos])
+    # above 256 elements the field's own add rows serve, cached by the
+    # field up to TABLE_LIMIT, so the space keeps no second copy of them
+    if read is bytes.translate:
+        if space._add_luts is None:
+            space._add_luts = encode_rows(map(field.add_row, range(order)))[1][1]
+        add_lut = space._add_luts.__getitem__
     else:
-        table = space._interned_tables.setdefault(tuple(map(tuple, table)), table)
+        add_lut = field.add_row
+    rows, table, escape = [], None, None
+    for a, (x, *more) in enumerate(zip(*cols)):
+        row = read(read(key, add_lut(x)), pos)
+        escapes = [
+            first_mismatch(sums, read(row, lut))
+            for key_i, y, lut in zip(keys, more, luts)
+            if (sums := read(key_i, add_lut(y))) != read(row, lut)
+        ]
+        if escapes:
+            escape = (a, min(escapes))
+            break
+        rows.append(row)
+    else:
+        table = space._interned_tables.setdefault(tuple(rows), list(map(list, rows)))
     resolved = space._resolved_orbits[v] = table, escape
     return resolved
 

@@ -162,7 +162,7 @@ def _first_compatible(space, u, multiples):
     zero = space.zero
     for lam in range(1, len(multiples)):
         w = add(u, multiples[lam])
-        if w == zero or space.class_of(w) is not None:
+        if w == zero or space._class_of(w) is not None:
             return lam
     return None
 

@@ -220,7 +220,7 @@ def decomposition_suite(space, seed=0, max_size=None):
         # not of the component's class
         outsiders = [
             v for v in space.vectors()
-            if v != space.zero and space.class_of(v) != comp.class_id
+            if v != space.zero and space._class_of(v) != comp.class_id
         ]
         if space.size > limit and len(outsiders) > SPAN_SAMPLE:
             outsiders = rng.sample(outsiders, SPAN_SAMPLE)

@@ -250,6 +250,13 @@ def test_order_walks_refuse_tables_that_form_no_group():
             nf.find_isomorphism(bad, bad)
 
 
+def test_negation_refuses_an_addition_row_without_zero():
+    # row 1 of max is [1, 1, 2, 3]: 1 has no negative
+    bad = max_product_structure()
+    with pytest.raises(InvalidConfigError, match="1 has no negative: row 1 of"):
+        bad.neg(0)
+
+
 def test_unique_order_two_element_in_odd_characteristic():
     for structure in (nf.from_field(Field(7)), nf.from_field(get_field(3, 2)),
                       nf.dickson9()):
@@ -312,21 +319,26 @@ def homomorphism_reference(f, src, dst):
     )
 
 
+GF256 = Field(2, 8, (1, 1, 0, 1, 1, 0, 0, 0, 1))  # x^8 + x^4 + x^3 + x + 1
+
+
 def _scan_structures():
-    for key in ((2, 1), (3, 1), (2, 3), (11, 1), (11, 2)):
-        field = get_field(*key)
+    # GF(2^8) is the largest carrier whose rows are read as bytes, and
+    # GF(257) the smallest read through tuples
+    fields = [get_field(*key) for key in ((2, 1), (3, 1), (2, 3), (11, 1), (11, 2))]
+    for field in fields + [GF256, Field(257)]:
         yield pytest.param(*field.op_tables(), id=repr(field))
     d9 = nf.dickson9()
     yield pytest.param(d9.add, d9.mul, id="dickson9")
     yield pytest.param([[0]], [[0]], id="size1")
 
 
-def _single_cell_corruptions(add, mul, rng, count):
-    """(index of the changed table, add, mul): copies with one cell of one
-    table changed, every such change for tables of at most three
-    elements, else ``count`` seeded ones."""
+def _single_cell_corruptions(add, mul, rng, count, rows):
+    """(index of the changed table, add, mul): copies with one cell in the
+    first ``rows`` rows of one table changed, every such change for tables
+    of at most three elements, else ``count`` seeded ones."""
     n = len(add)
-    cells = [(which, a, b, x) for which in (0, 1) for a in range(n) for b in range(n)
+    cells = [(which, a, b, x) for which in (0, 1) for a in range(rows) for b in range(n)
              for x in range(n) if x != (add, mul)[which][a][b]]
     if n > 3:
         cells = rng.sample(cells, count)
@@ -343,7 +355,11 @@ def test_row_scans_match_cell_references_under_corruption(add, mul):
     # a full reference scan of GF(121) walks 1.8 million cells, so there
     # only the corrupted table is checked for associativity
     variants = [] if n > 64 else [(None, add, mul)]
-    variants += _single_cell_corruptions(add, mul, rng, 4 if n > 64 else 24)
+    # the references over GF(2^8) and GF(257) walk up to 17 million
+    # cells, so their corruptions sit in the first two rows, where the
+    # first failing triple comes early
+    rows = n if n <= 121 else 2
+    variants += _single_cell_corruptions(add, mul, rng, 4 if n > 64 else 24, rows)
     for which, add_t, mul_t in variants:
         for index, t in enumerate((add_t, mul_t)):
             if n <= 64 or index == which:
@@ -358,6 +374,24 @@ def test_row_scans_match_cell_references_under_corruption(add, mul):
             for src, dst in ((add_t, add), (mul_t, mul)):
                 assert nf.homomorphism_failure(f, src, dst) == (
                     homomorphism_reference(f, src, dst))
+
+
+def test_rows_are_bytes_up_to_256_elements():
+    # bytes read by translation up to the byte alphabet, tuples above it
+    # and on any table that is not square over its carrier
+    for field, read in ((GF256, bytes.translate), (Field(257), nf._read_tuples)):
+        add, mul = field.op_tables()
+        got, (keys, luts), (col_keys, col_luts) = nf.encode_rows(add, zip(*mul))
+        assert got is read
+        assert list(map(list, keys)) == add
+        assert list(map(list, col_keys)) == list(map(list, zip(*mul)))
+    assert nf.encode_rows([[0, 1], [1, 2]])[0] is nf._read_tuples
+    assert nf.encode_rows([[0, 1], [1]])[0] is nf._read_tuples
+    read, (keys, luts) = nf.encode_rows([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
+    assert keys == [b"\x01\x02\x00", b"\x02\x00\x01", b"\x00\x01\x02"]
+    assert all(len(lut) == 256 for lut in luts)
+    # row 1 read at the entries of row 0
+    assert read(keys[0], luts[1]) == b"\x00\x01\x02"
 
 
 def test_row_getter_returns_tuples_for_every_row_length():

@@ -264,6 +264,16 @@ class TestQuasiKernel:
             check_components_against_bruteforce(space, brute))
         assert "members" not in report
 
+    @pytest.mark.parametrize("vector", [[1, 0, 0], (1, 0), (11, 0, 0)], ids=str)
+    def test_class_of_validates_while_the_internal_lookup_does_not(self, vector):
+        # the public lookup refuses what is no vector of the space; the
+        # internal one, for vectors the library built, agrees with it on
+        # every vector and checks nothing
+        space = get_space(11, 1, (3, 7, 3))
+        with pytest.raises(InvalidVectorError):
+            space.class_of(vector)
+        assert all(space._class_of(v) == space.class_of(v) for v in space.iter_vectors())
+
 
 Z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
 

@@ -25,6 +25,7 @@ from nearvec.space import (
     CLASS_TABLE_LIMIT,
     ExponentClass,
     TwistedSpace,
+    _orbit_sums,
     quasi_kernel_bruteforce,
 )
 
@@ -77,6 +78,37 @@ class TestInducedAddition:
             resolve = {w: g for g, w in enumerate(multiples)}
             expected = [[resolve[add(va, vb)] for vb in multiples] for va in multiples]
             assert st._addition_table(space, v) == expected, v
+
+    @pytest.mark.parametrize("key", [(2, 8, (1, 2)), (2, 8, (1, 7)), (257, 1, (1, 3))],
+                             ids=str)
+    def test_resolve_matches_tuple_orbit_resolve_across_the_byte_boundary(self, key):
+        # rows of GF(2^8) resolve as bytes, those of GF(257) as tuples;
+        # both give the literal resolve's table, or its first escaping
+        # pair.  The mixed-support (3, 5) escapes unless the exponents
+        # form one class, as 1 and 2 do over GF(2^8) (a Frobenius twist)
+        p, r, exponents = key
+        field = Field(p, r, (1, 1, 0, 1, 1, 0, 0, 0, 1) if r == 8 else None)
+        space = TwistedSpace(field, exponents)
+        order = field.order
+        add = space.add
+        qstar = space.quasi_kernel().sorted_nonzero()
+        vectors = random.Random(order).sample(qstar, 3) + [(3, 5)]
+        for v in vectors:
+            multiples = [space.scalar_mul(a, v) for a in range(order)]
+            resolve = {w: g for g, w in enumerate(multiples)}
+            sums = [[resolve.get(add(va, vb)) for vb in multiples] for va in multiples]
+            escape = next(((a, b) for a in range(order) for b in range(order)
+                           if sums[a][b] is None), None)
+            expected = (None, escape) if escape else (sums, None)
+            if v == (3, 5):
+                assert (escape is None) == (len(space.classes) == 1), v
+            assert _orbit_sums(space, v) == expected, v
+            if escape is None:
+                assert st._addition_table(space, v) == sums, v
+            else:
+                with pytest.raises(NotInQuasiKernelError):
+                    st._addition_table(space, v)
+        assert (space._add_luts is not None) == (order <= 256)
 
     def test_table_rejects_mixed_support_vector(self):
         space = get_space(11, 1, (3, 7, 3))

@@ -12,13 +12,15 @@ report the scan's first witness.
 from .errors import InvalidMapError, InvalidVectorError
 from .near_field import row_getter
 from .report import jsonify
-from .space import vector_from_json
+from .space import coords_from_json
 
 
 def parse_map(space1, space2, data):
     """(theta, eta) dicts from ``{"theta": [...], "eta": [...]}``: theta
     lists the image of every source vector in enumeration order, eta the
-    image of every nonzero source scalar as an int or coefficient list."""
+    image of every nonzero source scalar as an int or coefficient list.
+    Each image is decoded here and checked against the target space once,
+    by ``hom_check``."""
     if not isinstance(data, dict):
         raise InvalidMapError(
             f"hom map must be a JSON object, not {type(data).__name__}"
@@ -45,7 +47,7 @@ def parse_map(space1, space2, data):
     theta = {}
     for v, image in zip(v1, data["theta"]):
         try:
-            theta[v] = vector_from_json(space2, image)
+            theta[v] = coords_from_json(space2, image)
         except ValueError as exc:
             raise InvalidMapError(f"'theta' image of {v}: {exc}") from None
     eta = {}

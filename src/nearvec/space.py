@@ -207,7 +207,11 @@ class TwistedSpace:
         return tuple(map(self.field.mul, v, [psi[alpha] for psi in self._psi]))
 
     def sumset(self, A, B):
-        """{a + b for a in A for b in B}.
+        """{a + b for a in A for b in B}."""
+        return set(self.sums(A, B))
+
+    def sums(self, A, B):
+        """An iterator over a + b for a in A, and for b in B within each a.
 
         Column-wise, as in ``multiples``: coordinate i of a + B is the
         field's add row of a_i read at column i of B, taken once for each
@@ -218,13 +222,13 @@ class TwistedSpace:
         B = list(B)
         if self.field.order > TABLE_LIMIT:
             fadd = self.field.add
-            return {tuple(map(fadd, a, b)) for a in A for b in B}
+            return (tuple(map(fadd, a, b)) for a in A for b in B)
         add_row = self.field.add_row
         columns = []
         for read_b, col in zip(map(row_getter, zip(*B)), zip(*A)):
             sums = {x: read_b(add_row(x)) for x in set(col)}
             columns.append(chain.from_iterable(map(sums.__getitem__, col)))
-        return set(zip(*columns))
+        return zip(*columns)
 
     def multiples(self, v):
         """[alpha . v for every scalar alpha in index order].
@@ -570,6 +574,14 @@ def vectors_to_json(space, vectors):
 def vector_from_json(space, data):
     """A vector from JSON: one entry per coordinate, either a list of
     coefficients or an int (for r > 1, the constant polynomial)."""
+    coords = coords_from_json(space, data)
+    space.check_vector(coords)
+    return coords
+
+
+def coords_from_json(space, data):
+    """``vector_from_json`` short of ``check_vector``: the coordinate
+    tuple, its length and ranges unchecked."""
     if not isinstance(data, (list, tuple)):
         raise InvalidVectorError(f"{data!r} is not a list of coordinates")
     field = space.field
@@ -583,9 +595,7 @@ def vector_from_json(space, data):
         except ValueError as exc:
             raise InvalidVectorError(f"coordinate {i} of {data!r}: {exc}") from None
         coords.append(entry)
-    coords = tuple(coords)
-    space.check_vector(coords)
-    return coords
+    return tuple(coords)
 
 
 # -- axiom verification ------------------------------------------------------

@@ -10,6 +10,7 @@ elimination over F, once per class of a basis, then certified against
 closure oracles that know nothing about it.
 """
 
+from functools import cached_property
 from itertools import product
 
 from .errors import (
@@ -28,9 +29,9 @@ INDEPENDENCE_SCAN_LIMIT = 1 << 22
 # -- straightened coordinates over F -------------------------------------------
 
 
-def _straightening(space, cid):
+def _straightening(space, cid, sign=1):
     """The tables [x^(q/q_i)] of class cid's support coordinates i, q the
-    class exponent.
+    class exponent; with sign -1 the tables [x^(q_i/q)] that undo them.
 
     Inside a class q_i = q p^l, so x -> x^(q/q_i) is a Frobenius power:
     it is additive and takes alpha^(q_i) x to alpha^q times the image of
@@ -40,44 +41,60 @@ def _straightening(space, cid):
     m = space.field.mult_order
     q = space.classes[cid].exponent
     return [
-        space.power_table(q * pow(space.exponents[i], -1, m))
+        space.power_table(pow(q * pow(space.exponents[i], -1, m), sign, m))
         for i in space.classes[cid].support
     ]
 
 
-def _pivot_columns(space, cid, columns):
-    """Gauss-Jordan over F on the class-supported vectors, straightened,
-    as columns beside the m x m identity, m the size of the class.
+def _minus(field, x, terms):
+    """x - sum(c row for c, row in terms) over F, entry-wise, the zero
+    terms skipped."""
+    neg, add_row, mul_row = field.neg_table(), field.add_row, field.mul_row
+    for c, row in terms:
+        if c:
+            scaled = map(mul_row(neg[c]).__getitem__, row)
+            x = [add_row(a)[b] for a, b in zip(x, scaled)]
+    return x
 
-    Returns (pivot columns, transform).  Column j is a pivot column
-    exactly when its vector is independent of the vectors before it.
-    The transform, the product of the row operations, takes a
-    straightened target to its coefficients over the pivot columns
-    followed by zeros exactly when the target lies in their span.
+
+def _reduce(field, rows, x):
+    """x less its pivot entries' multiples of the echelon rows, all zero
+    exactly when x lies in their span.  Each row is zero at the other
+    pivots, so the multiples can all be read off x first."""
+    return _minus(field, x, [(x[p], row) for p, row in rows])
+
+
+def _echelon(space, cid, vectors):
+    """Gauss-Jordan over F on the class-supported vectors, straightened,
+    one at a time as rows, each followed by its row of the k x k
+    identity, k the number of vectors.
+
+    A row reduced by the rows kept so far keeps a nonzero entry among
+    its first m, m the size of the class, exactly when its vector is
+    independent of those before it; it is then scaled to 1 at the first
+    such entry, its pivot, cleared from the kept rows there, and kept.
+    Returns (the independent vectors' indices, the kept (pivot, row)
+    pairs in pivot order).  The rows' first m entries are the span's
+    reduced row echelon form, the same for every generating set; their
+    last k write each row over the straightened vectors.
     """
     field = space.field
-    neg, add_row, mul_row, inv = (
-        field.neg_table(), field.add_row, field.mul_row, field.inv)
     support = space.classes[cid].support
-    rows = [
-        [table[v[i]] for v in columns] + [int(i == h) for h in support]
-        for table, i in zip(_straightening(space, cid), support)
-    ]
-    pivots = []
-    for j in range(len(columns)):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+    m, k = len(support), len(vectors)
+    tables = _straightening(space, cid)
+    chosen, rows = [], []
+    for j, v in enumerate(vectors):
+        x = [table[v[i]] for table, i in zip(tables, support)]
+        x = _reduce(field, rows, x + [int(h == j) for h in range(k)])
+        pivot = next((i for i in range(m) if x[i]), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        top = rows[r] = list(map(mul_row(inv(rows[r][j])).__getitem__, rows[r]))
-        for i, row in enumerate(rows):
-            c = row[j]
-            if c and i != r:
-                scaled = map(mul_row(neg[c]).__getitem__, top)
-                rows[i] = [add_row(a)[b] for a, b in zip(row, scaled)]
-        pivots.append(j)
-    return pivots, [row[len(columns):] for row in rows]
+        x = list(map(field.mul_row(field.inv(x[pivot])).__getitem__, x))
+        rows = [(p, _minus(field, row, [(row[pivot], x)])) for p, row in rows]
+        rows.append((pivot, x))
+        rows.sort(key=lambda pr: pr[0])
+        chosen.append(j)
+    return chosen, rows
 
 
 def _solver(space, vectors):
@@ -86,8 +103,10 @@ def _solver(space, vectors):
     its coefficient tuple, or to None when no expansion exists.
 
     Per class, sum_j a_j v_j = t straightens to sum_j y_j s(v_j) = s(t)
-    with y_j = a_j^q, and the class's transform takes s(t) to (y, 0):
-    one matrix-vector product per class that the target meets.
+    with y_j = a_j^q.  Reducing (s(t), 0) by the class's echelon rows,
+    their last entries negated, leaves (0, y) exactly when the expansion
+    exists.  Its pivot entries reduce to zero by construction, so only
+    the others are computed.
     """
     by_class = {}
     for idx, b in enumerate(vectors):
@@ -96,15 +115,20 @@ def _solver(space, vectors):
             raise NotInQuasiKernelError(f"{b} is not a nonzero quasi-kernel vector")
         by_class.setdefault(cid, []).append(idx)
     field = space.field
+    neg = field.neg_table()
     solves = {}
     for cid, idxs in by_class.items():
-        pivots, transform = _pivot_columns(space, cid, [vectors[i] for i in idxs])
-        if len(pivots) < len(idxs):
+        chosen, rows = _echelon(space, cid, [vectors[i] for i in idxs])
+        if len(chosen) < len(idxs):
             raise NotABasisError("vectors are dependent inside an exponent class")
         cls = space.classes[cid]
+        pivots = [p for p, _ in rows]
+        checks = [i for i in range(len(cls.support)) if i not in pivots]
+        rows = [[row[i] for i in checks] + [neg[c] for c in row[len(cls.support):]]
+                for _, row in rows]
+        straighten = list(zip(_straightening(space, cid), cls.support))
         unstraighten = space.power_table(pow(cls.exponent, -1, field.mult_order))
-        columns = zip(_straightening(space, cid), cls.support, zip(*transform))
-        solves[cid] = idxs, list(columns), unstraighten
+        solves[cid] = idxs, straighten, pivots, checks, rows, unstraighten
 
     def solve(target):
         space.check_vector(target)
@@ -112,15 +136,14 @@ def _solver(space, vectors):
         for cid in {space._class_of_coord[i] for i in space.support(target)}:
             if cid not in solves:
                 return None
-            idxs, columns, unstraighten = solves[cid]
-            y = [0] * len(columns)
-            for table, i, column in columns:
-                scaled = map(field.mul_row(table[target[i]]).__getitem__, column)
-                y = [field.add_row(a)[b] for a, b in zip(y, scaled)]
-            if any(y[len(idxs):]):
+            idxs, straighten, pivots, checks, rows, unstraighten = solves[cid]
+            s = [table[target[i]] for table, i in straighten]
+            left = _minus(field, [s[i] for i in checks] + [0] * len(idxs),
+                          zip(map(s.__getitem__, pivots), rows))
+            if any(left[:len(checks)]):
                 return None
-            for i, yj in zip(idxs, y):
-                coeffs[i] = unstraighten[yj]
+            for i, y in zip(idxs, left[len(checks):]):
+                coeffs[i] = unstraighten[y]
         return tuple(coeffs)
 
     return solve
@@ -197,37 +220,99 @@ def subspace_closure_naive(space, generators, limit=512):
 
 
 class Subspace:
-    """A subspace presented by independent quasi-kernel generators,
-    grouped by the regular component carrying them."""
+    """A subspace held as its reduced row echelon form per class:
+    ``echelon`` maps a class index to its (pivot, row) pairs, in the
+    class's straightened coordinates, so two subspaces are equal exactly
+    when their forms are.  ``generators`` are the independent generator
+    parts that ``span_of`` chose.  Membership is one reduction per class
+    part, and ``members`` is built from ``iter_members`` only when read.
+    """
 
-    def __init__(self, space, generators, generator_classes, members):
+    def __init__(self, space, generators, generator_classes, echelon):
         self.space = space
         self.generators = tuple(generators)
         self.generator_classes = tuple(generator_classes)
-        self.members = frozenset(members)
+        self.echelon = echelon
         self.dim = len(self.generators)
+        self.member_count = space.field.order ** self.dim
 
     @property
     def component_supports(self):
         cids = dict.fromkeys(self.generator_classes)
         return [list(self.space.classes[cid].support) for cid in cids]
 
+    def __contains__(self, v):
+        space = self.space
+        space.check_vector(v)
+        for cid, part in space.class_parts(v).items():
+            rows = self.echelon.get(cid, ())
+            x = [table[part[i]] for table, i in
+                 zip(_straightening(space, cid), space.classes[cid].support)]
+            if any(_reduce(space.field, rows, x)):
+                return False
+        return True
+
+    def iter_members(self):
+        """The members in ascending order, with no sort.
+
+        Each echelon row, of pivot coordinate p, gives a line: its
+        multiples, unstraightened, the a-th holding a at p.  Each member
+        is one sum of one vector per line, as the rows are independent
+        and x -> x^(q/q_i) is additive and bijective.  The sums run in
+        nested loops, the rows in pivot order, outermost first, each
+        loop ascending in a.  That order is ascending:
+
+        - at a pivot p a member holds the a of p's line, as every other
+          row is zero at p (by the reduced form, or off its class);
+        - at another coordinate i of a class the straightened value
+          combines the rows of the class with pivot before i, as a row
+          is zero before its pivot; a class with no rows holds zero.
+
+        So two members first differ at a pivot, where they compare as
+        their a's: the order of the loops.
+        """
+        space = self.space
+        m = space.field.mult_order
+        lines = []
+        for cid, rows in self.echelon.items():
+            support = space.classes[cid].support
+            back = _straightening(space, cid, -1)
+            for p, row in rows:
+                u = [0] * space.n
+                for table, i, y in zip(back, support, row):
+                    u[i] = table[y]
+                multiples = space.multiples(tuple(u))
+                at = space.power_table(pow(space.exponents[support[p]], -1, m))
+                lines.append((support[p], list(map(multiples.__getitem__, at))))
+        lines = [line for _, line in sorted(lines)] or [[space.zero]]
+        members = iter(lines[0])
+        for line in lines[1:]:
+            members = space.sums(members, line)
+        return members
+
+    @cached_property
+    def members(self):
+        members = frozenset(self.iter_members())
+        if len(members) != self.member_count:
+            raise InvariantError("independent generators produced colliding sums")
+        return members
+
     def to_json(self, member_limit=4096):
         data = {
             "generators": vectors_to_json(self.space, self.generators),
             "dim": self.dim,
             "component_supports": self.component_supports,
-            "member_count": len(self.members),
+            "member_count": self.member_count,
         }
-        if len(self.members) <= member_limit:
-            data["members"] = vectors_to_json(self.space, sorted(self.members))
+        if self.member_count <= member_limit:
+            data["members"] = vectors_to_json(self.space, list(self.iter_members()))
         return data
 
 
 def span_of(space, generators):
     """Constructive span: split the generators over the regular
-    components, keep a maximal independent subset of the parts per
-    component, and materialise all coefficient combinations."""
+    components, and keep per component the parts independent of those
+    before them and the reduced row echelon form of their span."""
     parts_by_class = {}
     for g in generators:
         space.check_vector(g)
@@ -236,19 +321,15 @@ def span_of(space, generators):
 
     chosen = []
     chosen_classes = []
+    echelon = {}
     for cid in sorted(parts_by_class):
         parts = parts_by_class[cid]
-        for j in _pivot_columns(space, cid, parts)[0]:
-            chosen.append(parts[j])
-            chosen_classes.append(cid)
-
-    members = {space.zero}
-    for w in chosen:
-        members = space.sumset(members, space.multiples(w))
-    expected = space.field.order ** len(chosen)
-    if len(members) != expected:
-        raise InvariantError("independent generators produced colliding sums")
-    return Subspace(space, chosen, chosen_classes, members)
+        picked, rows = _echelon(space, cid, parts)
+        chosen += [parts[j] for j in picked]
+        chosen_classes += [cid] * len(picked)
+        m = len(space.classes[cid].support)
+        echelon[cid] = [(p, row[:m]) for p, row in rows]
+    return Subspace(space, chosen, chosen_classes, echelon)
 
 
 # -- dimension ----------------------------------------------------------------
@@ -337,7 +418,7 @@ def dim_of_vector(space, v):
 def is_linearly_independent(space, vectors):
     """Brute-force independence: scan every coefficient tuple for a
     nontrivial combination of the quasi-kernel vectors summing to zero;
-    the oracle for the rank that ``_pivot_columns`` computes.
+    the oracle for the rank that ``_echelon`` computes.
 
     Returns (True, None) or (False, coefficient_tuple).
     """
@@ -466,7 +547,7 @@ def distinct_span_witness(space):
     w = space.add(space.scalar_mul(theta, b1), b2)
     if v == w or space.class_of(v) is not None or space.class_of(w) is not None:
         raise InvariantError("witness construction produced invalid vectors")
-    if span_of(space, [v]).members != span_of(space, [w]).members:
+    if span_of(space, [v]).echelon != span_of(space, [w]).echelon:
         raise InvariantError("witness spans differ")
     return v, w
 
@@ -496,11 +577,13 @@ def intersecting_span_witness(space):
     w = space.add(b2, b3)
     if space.class_of(v) is not None or space.class_of(w) is not None:
         raise InvariantError("witness construction landed in the quasi-kernel")
-    span_v = span_of(space, [v]).members
-    span_w = span_of(space, [w]).members
+    span_v = span_of(space, [v])
+    span_w = span_of(space, [w])
     if v in span_w or w in span_v:
         raise InvariantError("witness vectors lie in each other's span")
-    line_b2 = {space.scalar_mul(a, b2) for a in range(space.field.order)}
-    if span_v & span_w != line_b2:
+    # per class, dim(A meet B) = dim A + dim B - dim(A + B); so the
+    # intersection is the shared line when it holds b2 and has dim 1
+    meet = span_v.dim + span_w.dim - span_of(space, [v, w]).dim
+    if meet != 1 or b2 not in span_v or b2 not in span_w:
         raise InvariantError("span intersection is not the shared line")
     return v, w

@@ -141,11 +141,10 @@ def span_oracle_suite(space, seed=0, max_size=None):
         sweep = vectors
         mode = {"mode": "exhaustive", "vectors": len(sweep)}
     else:
-        # every sampled vector costs two closures of |span| <= |V|
-        # members: span_of adds about |span|*|F| times, the oracle about
-        # |span| times, as it grows one cyclic factor at a time.  The
-        # bound below counts |V|*|F| three times, so it overestimates;
-        # it stays because it fixes the sample that verify reports.
+        # every sampled vector builds span_of's members and the closure
+        # oracle's, about |span| <= |V| sums each.  The formula below is
+        # no cost model: it stays because it fixes the sample that
+        # verify reports.
         per_vector = 3 * space.size * space.field.order
         sample = max(10, min(SPAN_SAMPLE, 30_000_000 // per_vector))
         rng = random.Random(seed)

@@ -207,3 +207,24 @@ def test_malformed_map_is_rejected(tmp_path, capsys, data, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_cli_checks_each_image_once(tmp_path, capsys, monkeypatch):
+    """``nearvec hom`` decodes the images in ``parse_map`` and checks
+    each against the target space once, in ``hom_check``."""
+    space = get_space(5, 1, (1, 3))
+    checked = []
+    check_vector = type(space).check_vector
+
+    def counted(self, v):
+        checked.append(v)
+        return check_vector(self, v)
+
+    monkeypatch.setattr(type(space), "check_vector", counted)
+    cfg = tmp_path / "space.json"
+    cfg.write_text(json.dumps(CONFIG))
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(IDENTITY))
+    assert main(["hom", str(cfg), str(cfg), str(path)]) == 0
+    assert sorted(checked) == space.vectors()
+    capsys.readouterr()

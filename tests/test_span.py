@@ -133,6 +133,71 @@ class TestSpan:
         assert payload["member_count"] == 121
 
 
+# corpus spaces of at most this many vectors take the listing sweep; the
+# larger ones are GF(5^2)^3 and GF(13^2), with r = 1, 2 and 3 all below
+LISTING_MAX_SIZE = 2401
+MEMBERSHIP_MAX_SIZE = 729
+
+
+def generator_sets(space, rng):
+    """Seeded generator sets: the empty set, one to three random vectors,
+    and dependent sets (a vector with a multiple, and with the sum of
+    the two)."""
+    vectors = space.vectors()
+    v, w = rng.choice(vectors), rng.choice(vectors)
+    twice = space.scalar_mul(rng.randrange(space.field.order), v)
+    sets = [[], [v, twice], [v, w, space.add(v, w)]]
+    sets += [rng.sample(vectors, k) for k in (1, 2, 3) if k <= len(vectors)]
+    return sets
+
+
+class TestEchelonForm:
+    """``iter_members`` and ``in`` read the echelon form, with the
+    closure oracle as reference."""
+
+    @pytest.mark.parametrize("space", [
+        s for s in corpus_spaces() if s.size <= LISTING_MAX_SIZE], ids=repr)
+    def test_iter_members_is_the_sorted_closure(self, space):
+        rng = random.Random(space.size)
+        for gens in generator_sets(space, rng):
+            sub = spn.span_of(space, gens)
+            expected = sorted(spn.subspace_closure_oracle(space, gens))
+            assert list(sub.iter_members()) == expected, gens
+            assert sub.member_count == len(expected), gens
+
+    @pytest.mark.parametrize("space", [
+        s for s in corpus_spaces() if s.size <= MEMBERSHIP_MAX_SIZE], ids=repr)
+    def test_membership_matches_the_closure(self, space):
+        rng = random.Random(space.size)
+        for gens in generator_sets(space, rng):
+            sub = spn.span_of(space, gens)
+            closure = spn.subspace_closure_oracle(space, gens)
+            assert [v in sub for v in space.vectors()] == \
+                [v in closure for v in space.vectors()], gens
+
+    def test_membership_validates(self):
+        sub = spn.span_of(get_space(11, 1, (3, 7, 3)), [(2, 5, 6)])
+        with pytest.raises(InvalidVectorError):
+            (99, 0, 0) in sub
+
+    def test_million_member_span_is_counted_not_built(self):
+        space = TwistedSpace(Field(101), (1, 3, 7))
+        sub = spn.span_of(space, space.standard_basis())
+        payload = sub.to_json()
+        assert payload["member_count"] == 1030301 and payload["dim"] == 3
+        assert "members" not in payload
+        assert (100, 7, 55) in sub
+        assert "members" not in vars(sub)
+
+    def test_equal_spans_have_equal_forms(self):
+        space = get_space(7, 1, (1, 1, 5))
+        a = spn.span_of(space, [(1, 2, 0), (0, 1, 3)])
+        b = spn.span_of(space, [(1, 3, 3), (2, 4, 0), (0, 0, 6)])
+        assert a.members == b.members and a.echelon == b.echelon
+        c = spn.span_of(space, [(1, 2, 0)])
+        assert c.echelon != a.echelon
+
+
 class TestDimension:
     def test_worked_examples(self):
         space = get_space(11, 1, (3, 7, 3))
@@ -257,7 +322,7 @@ class TestSolverSweep:
                 candidate = [parts[i] for i in kept] + [part]
                 if spn.is_linearly_independent(space, candidate)[0]:
                     kept.append(j)
-            assert spn._pivot_columns(space, cid, parts)[0] == kept, cid
+            assert spn._echelon(space, cid, parts)[0] == kept, cid
             independent += [parts[j] for j in kept]
         assert spn.is_linearly_independent(space, independent)[0]
         closure = spn.subspace_closure_oracle(space, independent)
@@ -452,13 +517,13 @@ class TestReduceOnce:
     @pytest.fixture
     def eliminations(self, monkeypatch):
         calls = []
-        pivot_columns = spn._pivot_columns
+        echelon = spn._echelon
 
-        def counted(space, cid, columns):
+        def counted(space, cid, vectors):
             calls.append(cid)
-            return pivot_columns(space, cid, columns)
+            return echelon(space, cid, vectors)
 
-        monkeypatch.setattr(spn, "_pivot_columns", counted)
+        monkeypatch.setattr(spn, "_echelon", counted)
         return calls
 
     def test_coordinate_map(self, eliminations):

@@ -241,6 +241,23 @@ class TwistedSpace:
             map(mul_row(x).__getitem__, psi) for psi, x in zip(self._psi, v)
         )))
 
+    def additive_multiples(self, g):
+        """[k g for k = 1, ..., p - 1], p the characteristic: for g != 0,
+        the nonzero members of g's cyclic subgroup of (V, +), in the
+        order of the walk g, g + g, ...
+
+        k g is g's coordinates read through the multiplication row of
+        the prime-field element k, which is the index k.  Above
+        TABLE_LIMIT, where a row is built afresh on each read at O(|F|),
+        each coordinate is multiplied as in ``scalar_mul``.
+        """
+        field = self.field
+        ks = range(2, field.p)
+        if field.order > TABLE_LIMIT:
+            mul = field.mul
+            return [g, *(tuple(mul(k, x) for x in g) for k in ks)]
+        return [g, *map(row_getter(g), map(field.mul_row, ks))]
+
     def check_vector(self, v):
         """Raise InvalidVectorError unless v is a tuple of n integer
         coordinates, each an element index in [0, |F|).  Vectors are
@@ -520,24 +537,17 @@ def additive_closure(space, generators):
     for g in generators:
         space.check_vector(g)
     return _additive_closure(
-        space.add, space.sumset, space.zero, generators, space.size
+        space.additive_multiples, space.sumset, space.zero, generators
     )
 
 
-def _additive_closure(add, sumset, zero, generators, cap):
-    # ``add`` walks each cyclic factor, which ``sumset`` then adds to the
-    # closure; ``cap`` bounds the walk, so a broken table whose powers
-    # never return to zero still terminates
+def _additive_closure(cyclic, sumset, zero, generators):
+    # ``cyclic`` lists each generator's cyclic factor less zero, which
+    # ``sumset`` then adds to the closure
     closure = {zero}
     for g in generators:
-        if g in closure:
-            continue
-        cyclic = []
-        x = g
-        while x != zero and len(cyclic) <= cap:
-            cyclic.append(x)
-            x = add(x, g)
-        closure |= sumset(closure, cyclic)
+        if g not in closure:
+            closure |= sumset(closure, cyclic(g))
     return closure
 
 
@@ -781,9 +791,17 @@ def check_axioms_raw(add_table, endos):
         orbit = {m[x] for m in maps}
         if all(add[f[x]][g[x]] in orbit for f in maps for g in maps):
             quasi.append(x)
-    closure = _additive_closure(
-        lambda x, y: add[x][y], _row_sumset(add), identity, quasi, n
-    )
+
+    def walk(g):
+        # g, g + g, ... by the table, capped, so a broken table whose
+        # powers never return to the identity still terminates
+        cyclic, x = [], g
+        while x != identity and len(cyclic) <= n:
+            cyclic.append(x)
+            x = add[x][g]
+        return cyclic
+
+    closure = _additive_closure(walk, _row_sumset(add), identity, quasi)
     ok = len(closure) == n
     entries["5_quasi_kernel_generates"] = (
         ok,

@@ -181,7 +181,7 @@ def subspace_closure_oracle(space, generators):
         space.check_vector(g)
     scaled = sorted({w for g in generators for w in space.multiples(g)})
     return frozenset(
-        _additive_closure(space.add, space.sumset, space.zero, scaled, space.size)
+        _additive_closure(space.additive_multiples, space.sumset, space.zero, scaled)
     )
 
 
@@ -355,27 +355,35 @@ def _dim_layers(space):
     Layer t holds every vector expressible as a sum of t nonzero
     quasi-kernel vectors and no fewer; back-pointers reconstruct a
     witness.  Scalar coefficients are absorbed into Q(V)* since it is
-    closed under the action.  The search stops once every nonzero vector
-    has a depth, as a further layer could only find nothing.
+    closed under the action.
+
+    Each frontier vector w is added to all of Q(V)* in one column-wise
+    ``space.sums((w,), qstar)``, zipped with qstar: the pairs (w, q) in
+    the order of their product, so the first pair to reach a vector is
+    the one a pair-by-pair search would record.  One call per w keeps
+    each column's rows at |Q(V)*| entries.  The search stops with the
+    frontier vector whose sums give the last nonzero vector its depth,
+    inside a layer too, as any further pair could only find nothing.
     """
     if space._dim_layer_cache is not None:
         return space._dim_layer_cache
     qstar = space.quasi_kernel().sorted_nonzero()
-    add = space.add
+    zero, full = space.zero, space.size - 1
     level = {q: (None, q) for q in qstar}  # v -> (previous vector, q summand)
     depth = {q: 1 for q in qstar}
     frontier = qstar
     t = 1
-    while frontier and len(depth) < space.size - 1:
+    while frontier and len(depth) < full:
         t += 1
         new = []
         for w in frontier:
-            for q in qstar:
-                u = add(w, q)
-                if u != space.zero and u not in depth:
+            for q, u in zip(qstar, space.sums((w,), qstar)):
+                if u != zero and u not in depth:
                     depth[u] = t
                     level[u] = (w, q)
                     new.append(u)
+            if len(depth) == full:
+                break
         frontier = new
     space._dim_layer_cache = (depth, level)
     return depth, level

@@ -181,6 +181,41 @@ class TestSumset:
         assert space.sumset(closure, closure) == closure
 
 
+class TestAdditiveMultiples:
+    """``additive_multiples`` against the walk g, g + g, ... by ``add``."""
+
+    @staticmethod
+    def walk(space, g):
+        cyclic, x = [], g
+        while x != space.zero:
+            cyclic.append(x)
+            x = space.add(x, g)
+        return cyclic
+
+    def check(self, space):
+        rng = random.Random(space.field.order)
+        vectors = [tuple(rng.randrange(space.field.order) for _ in range(space.n))
+                   for _ in range(3)] + list(space.standard_basis())
+        for g in vectors:
+            if g != space.zero:
+                assert space.additive_multiples(g) == self.walk(space, g), g
+
+    @pytest.mark.parametrize("key", CORPUS, ids=str)
+    def test_matches_the_add_walk(self, key):
+        self.check(get_space(*key))
+
+    @pytest.mark.parametrize("field, exponents", SUMSET_ABOVE_LIMIT, ids=repr)
+    def test_matches_the_add_walk_above_table_limit(self, field, exponents, monkeypatch):
+        space = TwistedSpace(field, exponents)
+
+        def no_rows(a):
+            raise AssertionError("a cyclic factor built an O(|F|) field row")
+
+        # each multiple is computed per coordinate, with no row built
+        monkeypatch.setattr(field, "_mul_row", no_rows)
+        self.check(space)
+
+
 class TestQuasiKernel:
     def test_worked_example_structure(self):
         space = get_space(11, 1, (3, 7, 3))

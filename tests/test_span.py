@@ -288,6 +288,77 @@ class TestDimensionSweep:
             assert total == v
 
 
+def pair_by_pair_layers(space):
+    """The sumset layers of Q(V)* by one ``add`` per (frontier vector,
+    summand) pair, each layer finished before the stop test."""
+    qstar = space.quasi_kernel().sorted_nonzero()
+    level = {q: (None, q) for q in qstar}
+    depth = {q: 1 for q in qstar}
+    frontier, t = qstar, 1
+    while frontier and len(depth) < space.size - 1:
+        t += 1
+        new = []
+        for w in frontier:
+            for q in qstar:
+                u = space.add(w, q)
+                if u != space.zero and u not in depth:
+                    depth[u] = t
+                    level[u] = (w, q)
+                    new.append(u)
+        frontier = new
+    return depth, level
+
+
+@pytest.mark.parametrize("space", [
+    s for s in corpus_spaces() if s.size <= LISTING_MAX_SIZE], ids=repr)
+def test_dim_layers_match_the_pair_by_pair_search(space):
+    # a fresh space, so no layers are cached from another test
+    fresh = TwistedSpace(space.field, space.exponents)
+    depth, level = spn._dim_layers(fresh)
+    want_depth, want_level = pair_by_pair_layers(fresh)
+    assert list(depth.items()) == list(want_depth.items())
+    assert list(level.items()) == list(want_level.items())
+
+
+class TestSpanOracleOrbits:
+    """``span_oracle_suite`` closes each scalar orbit once; a wrong span
+    still fails at its own vector, first of its orbit or not."""
+
+    space = get_space(11, 1, (3, 7, 3))
+    v = (2, 5, 6)
+    decoy = (2, 5, 7)  # a span of the same size, another set
+
+    def orbit_in_sweep_order(self):
+        return sorted(set(self.space.multiples(self.v)) - {self.space.zero})
+
+    def suite_with_wrong_span_at(self, monkeypatch, target):
+        real = spn.span_of
+        assert real(self.space, [self.decoy]).members != \
+            spn.subspace_closure_oracle(self.space, [target])
+
+        def span_of(space, generators):
+            generators = list(generators)
+            if generators == [target]:
+                generators = [self.decoy]
+            return real(space, generators)
+
+        monkeypatch.setattr(spn, "span_of", span_of)
+        return verify.span_oracle_suite(self.space)
+
+    def test_suite_passes_unpatched(self):
+        assert verify.span_oracle_suite(self.space)["pass"]
+
+    @pytest.mark.parametrize("position", [0, 1, -1], ids=["first", "second", "last"])
+    def test_wrong_span_fails_at_its_vector(self, monkeypatch, position):
+        orbit = self.orbit_in_sweep_order()
+        assert len(orbit) == 10
+        target = orbit[position]
+        result = self.suite_with_wrong_span_at(monkeypatch, target)
+        check = result["checks"][0]
+        assert not result["pass"] and check["mode"] == "exhaustive"
+        assert check["witness"] == ["span_vs_closure", list(target)]
+
+
 class TestQuasiKernelSweep:
     @sweep
     def test_bruteforce_and_induced_addition_match_closed_form(self, drawn):

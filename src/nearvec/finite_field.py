@@ -176,6 +176,7 @@ class Field:
 
     def coeffs(self, a):
         """Coefficient vector (c0, ..., c_{r-1}) of the element index a."""
+        a = self._element(a)
         out = []
         for _ in range(self.r):
             a, c = divmod(a, self.p)
@@ -198,10 +199,24 @@ class Field:
         return range(1, self.order)
 
     # -- arithmetic -------------------------------------------------------
+    # Every operand must be an int in range(|F|), tested by its exact
+    # type: a bool or a float hashes like the int it equals, so a cached
+    # row would answer it.  The per-coordinate paths test inline.
+
+    def _outside(self, a):
+        return InvalidElementError(f"{a!r} is outside range({self.order})")
+
+    def _element(self, a):
+        if type(a) is not int or not 0 <= a < self.order:
+            raise self._outside(a)
+        return a
 
     def add(self, a, b):
         if self.order <= TABLE_LIMIT:
+            if type(b) is not int or not 0 <= b < self.order:
+                raise self._outside(b)
             return self.add_row(a)[b]
+        a, b = self._element(a), self._element(b)
         if self.r == 1:
             return (a + b) % self.p
         p = self.p
@@ -228,18 +243,20 @@ class Field:
         return self._neg_table
 
     def neg(self, a):
-        return self.neg_table()[a]
+        return self.neg_table()[self._element(a)]
 
     def mul(self, a, b):
         if self.order <= TABLE_LIMIT:
+            if type(b) is not int or not 0 <= b < self.order:
+                raise self._outside(b)
             return self.mul_row(a)[b]
-        return self._raw_mul(a, b)
+        return self._raw_mul(self._element(a), self._element(b))
 
     def _from_poly(self, poly):
         return sum(c * w for c, w in zip(poly, self._powers))
 
     def inv(self, a):
-        if a == 0:
+        if self._element(a) == 0:
             raise DivisionByZeroError("0 has no multiplicative inverse")
         exp, log = self._log_walk()
         m = self.mult_order
@@ -248,7 +265,7 @@ class Field:
     def pow(self, a, k):
         """a^k, the exponent reduced mod mult_order for nonzero a, through
         polynomial products: ``generator`` runs before the rows' log walk."""
-        if a == 0:
+        if self._element(a) == 0:
             if k > 0:
                 return 0
             if k == 0:
@@ -274,19 +291,20 @@ class Field:
     def add_row(self, a):
         """[a + b for every element b in index order], cached up to
         TABLE_LIMIT; InvalidElementError unless a is in range(|F|)."""
+        if type(a) is not int or not 0 <= a < self.order:
+            raise self._outside(a)
         row = self._add_rows.get(a)
         return self._new_row(self._add_rows, self._add_row, a) if row is None else row
 
     def mul_row(self, a):
         """[a b for every element b in index order], cached up to
         TABLE_LIMIT; InvalidElementError unless a is in range(|F|)."""
+        if type(a) is not int or not 0 <= a < self.order:
+            raise self._outside(a)
         row = self._mul_rows.get(a)
         return self._new_row(self._mul_rows, self._mul_row, a) if row is None else row
 
     def _new_row(self, rows, build, a):
-        # checked before building, so no row is made up for a non-element
-        if type(a) is not int or not 0 <= a < self.order:
-            raise InvalidElementError(f"row {a!r} is outside range({self.order})")
         row = build(a)
         if self.order <= TABLE_LIMIT:
             rows[a] = row

@@ -64,15 +64,8 @@ class InducedAddition:
             self._table = self.space.class_addition_table(self.class_id)
         return self._table
 
-    def key(self):
-        """Hashable table identity, for grouping additions."""
-        return tuple(map(tuple, self.table))
-
     def __eq__(self, other):
         return isinstance(other, InducedAddition) and self.table == other.table
-
-    def __hash__(self):
-        return hash(self.key())
 
 
 def _require_quasi_nonzero(space, v):
@@ -128,24 +121,12 @@ def kernel(space, u):
     i.e. (a +_u b) v = a v + b v for all scalars; exhaustive scan."""
     _require_quasi_nonzero(space, u)
     table = _addition_table(space, u)
-    order = space.field.order
+    units = range(1, space.field.order)
     add = space.add
-    members = set()
-    for v in space.iter_vectors():
-        multiples = space.multiples(v)
-        ok = True
-        for a in range(1, order):
-            va = multiples[a]
-            row = table[a]
-            for b in range(1, order):
-                if multiples[row[b]] != add(va, multiples[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            members.add(v)
-    return frozenset(members)
+    return frozenset(
+        v for v in space.iter_vectors() for m in [space.multiples(v)]
+        if all(m[table[a][b]] == add(m[a], m[b]) for a in units for b in units)
+    )
 
 
 def are_compatible(space, u, v):
@@ -184,6 +165,19 @@ class RegularityCertificate:
         }
 
 
+def _orbits(space):
+    """The scalar orbits of Q(V)*, each as (least vector, its multiples),
+    in sorted order of the least vectors."""
+    reps = []
+    seen = set()
+    for v in space.quasi_kernel().sorted_nonzero():
+        if v not in seen:
+            multiples = space.multiples(v)
+            reps.append((v, multiples))
+            seen.update(multiples)
+    return reps
+
+
 def is_regular(space):
     """Pairwise compatibility of the nonzero quasi-kernel vectors, scanned
     over one representative per scalar orbit.
@@ -198,14 +192,7 @@ def is_regular(space):
     failing u of that scan is an orbit minimum, since its orbit minimum
     fails with the same partner, and so is u's first failing partner.
     """
-    qstar = space.quasi_kernel().sorted_nonzero()
-    reps = []  # (v, multiples of v)
-    seen = set()
-    for v in qstar:
-        if v not in seen:
-            multiples = space.multiples(v)
-            reps.append((v, multiples))
-            seen.update(multiples)
+    reps = _orbits(space)
     checked = 0
     for i, (u, _) in enumerate(reps):
         for v, multiples in reps[i:]:
@@ -263,21 +250,21 @@ def verify_shared_addition(space, basis, v, v_prime):
         raise HypothesisUnmetError(
             "no pair of distinct slots with matching induced additions"
         )
-    return (
-        _addition_table(space, v) is _addition_table(space, v_prime)
-        and _slot_additions_agree(space, basis, v, theta)
-        and _slot_additions_agree(space, basis, v_prime, theta_p)
-    )
+    table = _slot_shared_table(space, basis, v, theta)
+    return table is not None and table is _slot_shared_table(space, basis, v_prime, theta_p)
 
 
-def _slot_additions_agree(space, basis, v, theta):
+def _slot_shared_table(space, basis, v, theta):
     """The key lemma's conclusion for one vector v = sum theta_i b_i:
-    whether +_(theta_i b_i) = +_v at every nonzero slot i."""
+    +_v's interned table when +_(theta_i b_i) = +_v at every nonzero
+    slot i, else None."""
     table = _addition_table(space, v)
-    return all(
+    if all(
         _addition_table(space, space.scalar_mul(t, b)) is table
         for t, b in zip(theta, basis) if t
-    )
+    ):
+        return table
+    return None
 
 
 # -- the equivalence report ---------------------------------------------
@@ -350,52 +337,40 @@ def regularity_equivalences(space):
     """Evaluate each characterisation of regular spaces on its own terms
     and report the verdicts side by side; they must all agree.
 
-    Conditions 5, 1, 2 and 2' read one module-law pass over Q(V)*, and
-    3, 7 and 1' one scan for its first division-ring failure."""
+    Q(V)* is read once, into one entry per distinct induced addition in
+    first-seen order, each paired with the least vector that has it
+    (``_orbit_sums`` interns tables, so identity is the key).  Each law is
+    then scanned once per table: conditions 5, 1, 2 and 2' read the module
+    law, and 3, 7 and 1' the division-ring laws.  The witnesses are those
+    of a scan over Q(V)* in sorted order, as each listed vector is the
+    least vector with its table: the least vector whose table fails (or
+    passes) a law is the listed vector of the first listed table that
+    fails (or passes) it."""
     qk = space.quasi_kernel()
-    qstar = qk.sorted_nonzero()
-
-    # _orbit_sums interns equal tables, so the verdict caches below
-    # key on identity and each distinct table is checked once
-    def cached(scan):
-        verdicts = {}
-
-        def verdict(t):
-            key = id(t)
-            if key not in verdicts:
-                verdicts[key] = scan(space, t)
-            return verdicts[key]
-
-        return verdict
-
-    module_law_failure = cached(_module_law_failure)
-    division_ring_verdict = cached(_division_ring_verdict)
+    firsts = {}  # id of each distinct table -> (its least vector, table)
+    for v in qk.sorted_nonzero():
+        t = _addition_table(space, v)
+        firsts.setdefault(id(t), (v, t))
+    tables = list(firsts.values())
 
     # V is a vector space over (A, +_v, .) exactly when the action
     # distributes over +_v on every coordinate (the other module laws
     # hold ambiently and are certified by the axiom checker), which is
-    # also R_v = V.  One pass finds the first vector of Q(V)* failing
-    # that and the first passing it.
-    module_fail = module_ok = None
-    for v in qstar:
-        bad = module_law_failure(_addition_table(space, v))
-        if bad is None:
-            if module_ok is None:
-                module_ok = v
-        elif module_fail is None:
-            module_fail = (v, bad)
-        if module_fail is not None and module_ok is not None:
-            break
+    # also R_v = V.
+    module = [(v, _module_law_failure(space, t)) for v, t in tables]
+    module_fail = next(((v, bad) for v, bad in module if bad is not None), None)
+    module_ok = next((v for v, bad in module if bad is None), None)
 
     reg = is_regular(space)
     q_is_v = len(qk.members) == space.size
-    dr_fail = None  # the first vector of Q(V)* whose scalars are no division ring
-    if q_is_v or reg.regular or module_fail is None:
-        for v in qstar:
-            passed, cx = division_ring_verdict(_addition_table(space, v))
-            if not passed:
-                dr_fail = (v, cx)
-                break
+    # the division-ring verdicts that some condition reads: every table's
+    # for 3, 7 and 1', else only module_ok's for 2'
+    every = q_is_v or reg.regular or module_fail is None
+    ring = {v: _division_ring_verdict(space, t) for v, t in tables
+            if every or v == module_ok}
+    # the first vector of Q(V)* whose scalars are no division ring, read
+    # only when every table was scanned
+    dr_fail = next(((v, cx) for v, (passed, cx) in ring.items() if not passed), None)
 
     conditions = {}
     witnesses = {}
@@ -405,17 +380,10 @@ def regularity_equivalences(space):
     witnesses["3"] = dr_fail if q_is_v else ("missing", next(
         v for v in space.iter_vectors() if v not in qk.members))
 
-    # (4) a single shared addition across Q(V)*
-    ok, wit = True, None
-    reference = None
-    for v in qstar:
-        t = _addition_table(space, v)
-        if reference is None:
-            reference = (v, t)
-        elif t != reference[1]:
-            ok, wit = False, (reference[0], v)
-            break
-    conditions["4"], witnesses["4"] = ok, wit
+    # (4) a single shared addition across Q(V)*; the witness is the
+    # least vectors of the first two tables
+    conditions["4"] = len(tables) <= 1
+    witnesses["4"] = None if conditions["4"] else (tables[0][0], tables[1][0])
 
     # (5) R_w = V for every w: every coordinate twist must distribute
     conditions["5"], witnesses["5"] = module_fail is None, None
@@ -423,19 +391,17 @@ def regularity_equivalences(space):
         w, (i, bad) = module_fail
         witnesses["5"] = (w, space.standard_basis()[i], bad)
 
-    # (6) regular, and +_v is constant along every scalar orbit of Q(V)*
+    # (6) regular, and +_v is constant along every scalar orbit of Q(V)*;
+    # the witness is the least w whose table is not its orbit's least
+    # vector's
     ok, wit = reg.regular, reg.witness
     if ok:
-        seen_orbit = {}
-        for v in qstar:
-            rep = min(space.multiples(v)[1:])
-            t = _addition_table(space, v)
-            prev = seen_orbit.get(rep)
-            if prev is None:
-                seen_orbit[rep] = (v, t)
-            elif t != prev[1]:
-                ok, wit = False, ("orbit", prev[0], v)
-                break
+        stray = min((
+            (w, rep) for rep, multiples in _orbits(space) for w in multiples[1:]
+            if _addition_table(space, w) is not _addition_table(space, rep)
+        ), default=None)
+        if stray is not None:
+            ok, wit = False, ("orbit", stray[1], stray[0])
     conditions["6"], witnesses["6"] = ok, wit
 
     # (7) regular with division-ring scalars
@@ -450,7 +416,7 @@ def regularity_equivalences(space):
         (dr_fail is None, dr_fail) if module_fail is None else (False, None)
     )
     if module_ok is not None:
-        passed, cx = division_ring_verdict(_addition_table(space, module_ok))
+        passed, cx = ring[module_ok]
         conditions["2'"] = passed
         witnesses["2'"] = module_ok if passed else (module_ok, cx)
     else:

@@ -114,17 +114,17 @@ def keylemma_suite(space, seed=0, max_size=None):
         mode = {"mode": "sampled", "pairs": len(pairs), "seed": seed}
 
     # the premise was detected through matching slot classes; the
-    # conclusion is the interned definitional tables of v and w being one
-    # table, and each vector's own slot additions agreeing with it
-    slots_agree = {
-        v: structure._slot_additions_agree(space, basis, v, coords[v])
+    # conclusion is each vector's slot additions agreeing with its own
+    # interned definitional table, read once per vector, and v and w
+    # having one table
+    shared = {
+        v: structure._slot_shared_table(space, basis, v, coords[v])
         for v in {u for pair in pairs for u in pair}
     }
     checks = []
     ok_all = True
     for v, w in pairs:
-        same = structure._addition_table(space, v) is structure._addition_table(space, w)
-        if not (same and slots_agree[v] and slots_agree[w]):
+        if shared[v] is None or shared[v] is not shared[w]:
             ok_all = False
             checks.append(_check("shared_addition", False, (v, w)))
             break

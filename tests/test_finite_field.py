@@ -291,14 +291,41 @@ def test_rows_are_cached_up_to_the_table_limit(key):
         assert len(add) == len(mul) == f.order
 
 
-@pytest.mark.parametrize("a", [-1, 13, 100, 1.0, None], ids=repr)
-@pytest.mark.parametrize("row", ["add_row", "mul_row"])
-def test_row_outside_the_field_raises(row, a):
+# every Field method that takes an element, called with x as that element
+ELEMENT_CALLS = {
+    "add_row": lambda f, x: f.add_row(x),
+    "mul_row": lambda f, x: f.mul_row(x),
+    "add_left": lambda f, x: f.add(x, 3),
+    "add_right": lambda f, x: f.add(3, x),
+    "mul_left": lambda f, x: f.mul(x, 3),
+    "mul_right": lambda f, x: f.mul(3, x),
+    "neg": lambda f, x: f.neg(x),
+    "inv": lambda f, x: f.inv(x),
+    "pow": lambda f, x: f.pow(x, 2),
+    "coeffs": lambda f, x: f.coeffs(x),
+}
+
+
+@pytest.mark.parametrize("a", [-1, 13, 100, 1.0, True, None], ids=repr)
+@pytest.mark.parametrize("method", list(ELEMENT_CALLS))
+def test_row_outside_the_field_raises(method, a):
+    # rows 1 are cached first: 1.0 and True hash like 1, yet are refused
     f = Field(13)
+    rows = f.add_row(1), f.mul_row(1)
     with pytest.raises(InvalidElementError) as info:
-        getattr(f, row)(a)
+        ELEMENT_CALLS[method](f, a)
     assert isinstance(info.value, IndexError)
-    assert f._add_rows == {} and f._mul_rows == {}
+    assert (f._add_rows, f._mul_rows) == ({1: rows[0]}, {1: rows[1]})
+
+
+@pytest.mark.parametrize("a", [-1, 2048, 5000, 1.0, True, None], ids=repr)
+@pytest.mark.parametrize("method", list(ELEMENT_CALLS))
+def test_operand_outside_a_field_above_the_table_limit_raises(method, a):
+    f = get_field(2, 11)
+    assert f.order > TABLE_LIMIT
+    with pytest.raises(InvalidElementError) as info:
+        ELEMENT_CALLS[method](f, a)
+    assert isinstance(info.value, IndexError)
 
 
 # every field of the shared corpus, plus GF(2^10), GF(2^11) and GF(3^7)

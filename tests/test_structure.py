@@ -428,6 +428,173 @@ class TestEquivalences:
                     self.module_law_reference(space, table))
 
 
+    # -- the per-vector scans that the one-pass oracles replaced ------------
+
+    @staticmethod
+    def is_regular_reference(space):
+        qstar = space.quasi_kernel().sorted_nonzero()
+        reps = []
+        seen = set()
+        for v in qstar:
+            if v not in seen:
+                multiples = space.multiples(v)
+                reps.append((v, multiples))
+                seen.update(multiples)
+        checked = 0
+        for i, (u, _) in enumerate(reps):
+            for v, multiples in reps[i:]:
+                checked += 1
+                if st._first_compatible(space, u, multiples) is None:
+                    return st.RegularityCertificate(False, (u, v), checked)
+        return st.RegularityCertificate(True, None, checked)
+
+    @classmethod
+    def equivalences_reference(cls, space):
+        """Each condition scanned over every vector of Q(V)* in sorted
+        order, the law verdicts cached per table, the orbit of each vector
+        found through its own multiples."""
+        qk = space.quasi_kernel()
+        qstar = qk.sorted_nonzero()
+
+        def cached(scan):
+            verdicts = {}
+
+            def verdict(t):
+                if id(t) not in verdicts:
+                    verdicts[id(t)] = scan(space, t)
+                return verdicts[id(t)]
+
+            return verdict
+
+        module_law_failure = cached(st._module_law_failure)
+        division_ring_verdict = cached(st._division_ring_verdict)
+        module_fail = module_ok = None
+        for v in qstar:
+            bad = module_law_failure(st._addition_table(space, v))
+            if bad is None:
+                if module_ok is None:
+                    module_ok = v
+            elif module_fail is None:
+                module_fail = (v, bad)
+            if module_fail is not None and module_ok is not None:
+                break
+
+        reg = cls.is_regular_reference(space)
+        q_is_v = len(qk.members) == space.size
+        dr_fail = None
+        if q_is_v or reg.regular or module_fail is None:
+            for v in qstar:
+                passed, cx = division_ring_verdict(st._addition_table(space, v))
+                if not passed:
+                    dr_fail = (v, cx)
+                    break
+
+        conditions = {}
+        witnesses = {}
+        conditions["3"] = q_is_v and dr_fail is None
+        witnesses["3"] = dr_fail if q_is_v else ("missing", next(
+            v for v in space.iter_vectors() if v not in qk.members))
+
+        ok, wit = True, None
+        reference = None
+        for v in qstar:
+            t = st._addition_table(space, v)
+            if reference is None:
+                reference = (v, t)
+            elif t != reference[1]:
+                ok, wit = False, (reference[0], v)
+                break
+        conditions["4"], witnesses["4"] = ok, wit
+
+        conditions["5"], witnesses["5"] = module_fail is None, None
+        if module_fail is not None:
+            w, (i, bad) = module_fail
+            witnesses["5"] = (w, space.standard_basis()[i], bad)
+
+        ok, wit = reg.regular, reg.witness
+        if ok:
+            seen_orbit = {}
+            for v in qstar:
+                rep = min(space.multiples(v)[1:])
+                t = st._addition_table(space, v)
+                prev = seen_orbit.get(rep)
+                if prev is None:
+                    seen_orbit[rep] = (v, t)
+                elif t != prev[1]:
+                    ok, wit = False, ("orbit", prev[0], v)
+                    break
+        conditions["6"], witnesses["6"] = ok, wit
+
+        conditions["7"] = reg.regular and dr_fail is None
+        witnesses["7"] = dr_fail if reg.regular else reg.witness
+
+        conditions["1"], witnesses["1"] = module_fail is None, module_fail
+        conditions["2"], witnesses["2"] = module_ok is not None, module_ok
+        conditions["1'"], witnesses["1'"] = (
+            (dr_fail is None, dr_fail) if module_fail is None else (False, None)
+        )
+        if module_ok is not None:
+            passed, cx = division_ring_verdict(st._addition_table(space, module_ok))
+            conditions["2'"] = passed
+            witnesses["2'"] = module_ok if passed else (module_ok, cx)
+        else:
+            conditions["2'"], witnesses["2'"] = False, None
+        return st.EquivalenceReport(conditions, witnesses)
+
+    @pytest.mark.parametrize("key", CORPUS, ids=str)
+    def test_one_pass_oracles_match_the_per_vector_scans(self, key):
+        space = get_space(*key)
+        assert st.is_regular(space).to_json() == self.is_regular_reference(space).to_json()
+        assert (st.regularity_equivalences(space).to_json()
+                == self.equivalences_reference(space).to_json())
+
+    @staticmethod
+    def corrupted_tables(space, rng):
+        """A stand-in for ``_addition_table`` that gives up to three
+        sampled vectors of Q(V)* a table with two entries of one row
+        swapped.  Every table it hands out is interned by content, as
+        ``_orbit_sums`` interns the true ones."""
+        clean = st._addition_table
+        order = space.field.order
+        qstar = space.quasi_kernel().sorted_nonzero()
+        swaps = {
+            v: (rng.randrange(order), *rng.sample(range(order), 2))
+            for v in rng.sample(qstar, rng.randint(1, min(3, len(qstar))))
+        }
+        interned = {}
+
+        def addition_table(space_, v):
+            table = clean(space_, v)
+            if v in swaps:
+                a, b, c = swaps[v]
+                table = [list(row) for row in table]
+                table[a][b], table[a][c] = table[a][c], table[a][b]
+            return interned.setdefault(tuple(map(tuple, table)), table)
+
+        return addition_table
+
+    def test_one_pass_oracles_match_the_per_vector_scans_under_corruption(
+            self, monkeypatch):
+        # on a regular space every witness below comes from a corrupted
+        # table; the sweep must reach each of them
+        reached = Counter()
+        keys = [k for k in CORPUS if len(get_space(*k).quasi_kernel().members) <= 400]
+        for seed in range(4):
+            rng = random.Random(seed)
+            for key in keys:
+                space = get_space(*key)
+                monkeypatch.setattr(st, "_addition_table", self.corrupted_tables(space, rng))
+                got = st.regularity_equivalences(space).to_json()
+                assert got == self.equivalences_reference(space).to_json(), (key, seed)
+                monkeypatch.undo()
+                if len(space.classes) == 1:
+                    witnesses = got["witnesses"]
+                    reached["4"] += "4" in witnesses
+                    reached["5"] += "5" in witnesses
+                    reached["orbit"] += witnesses.get("6", [None])[0] == "orbit"
+        assert min(reached["4"], reached["5"], reached["orbit"]) > 0, reached
+
+
 class TestDecomposition:
     def test_worked_example_components(self):
         space = get_space(11, 1, (3, 7, 3))

@@ -211,6 +211,12 @@ class Field:
             raise self._outside(a)
         return a
 
+    @staticmethod
+    def _exponent(k):
+        if type(k) is not int:  # bool too, as for elements
+            raise InvalidConfigError(f"exponent must be an integer, got {k!r}")
+        return k
+
     def add(self, a, b):
         if self.order <= TABLE_LIMIT:
             if type(b) is not int or not 0 <= b < self.order:
@@ -265,6 +271,7 @@ class Field:
     def pow(self, a, k):
         """a^k, the exponent reduced mod mult_order for nonzero a, through
         polynomial products: ``generator`` runs before the rows' log walk."""
+        k = self._exponent(k)
         if self._element(a) == 0:
             if k > 0:
                 return 0
@@ -452,6 +459,7 @@ class Field:
         x^k = exp[(log x * k) mod |F*|] for x != 0, one lookup per element
         in the cached discrete-log walk (F* is cyclic in every field).
         """
+        k = self._exponent(k)
         exp, log = self._log_walk()
         m = self.mult_order
         return [self.pow(0, k)] + [exp[log[x] * k % m] for x in range(1, self.order)]

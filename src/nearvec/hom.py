@@ -25,11 +25,10 @@ def parse_map(space1, space2, data):
         raise InvalidMapError(
             f"hom map must be a JSON object, not {type(data).__name__}"
         )
-    v1 = space1.vectors()
     units1 = range(1, space1.field.order)
-    for key, domain, what in (
-        ("theta", v1, "source vector"),
-        ("eta", units1, "nonzero source scalar"),
+    for key, size, what in (
+        ("theta", space1.size, "source vector"),
+        ("eta", len(units1), "nonzero source scalar"),
     ):
         if key not in data:
             raise InvalidMapError(f"hom map has no {key!r} entry")
@@ -38,14 +37,14 @@ def parse_map(space1, space2, data):
             raise InvalidMapError(
                 f"hom map entry {key!r} must be a list, not {type(table).__name__}"
             )
-        if len(table) != len(domain):
+        if len(table) != size:
             raise InvalidMapError(
                 f"hom map entry {key!r} has {len(table)} items, expected "
-                f"{len(domain)} (one per {what})"
+                f"{size} (one per {what})"
             )
     field2 = space2.field
     theta = {}
-    for v, image in zip(v1, data["theta"]):
+    for v, image in zip(space1.iter_vectors(), data["theta"]):
         try:
             theta[v] = coords_from_json(space2, image)
         except ValueError as exc:
@@ -66,7 +65,8 @@ def parse_map(space1, space2, data):
 
 
 def _check_tables(space1, space2, theta, eta):
-    if set(theta) != set(space1.vectors()):
+    every = all(map(theta.__contains__, space1.iter_vectors()))
+    if len(theta) != space1.size or not every:
         raise InvalidMapError("'theta' must be defined on every vector of the source")
     if set(eta) != set(range(1, space1.field.order)):
         raise InvalidMapError("'eta' must be defined on every unit scalar of the source")
@@ -86,10 +86,9 @@ def _check_tables(space1, space2, theta, eta):
 
 def additivity_witness(space1, space2, theta):
     """First (x, y) with theta(x + y) != theta(x) + theta(y), or None."""
-    v1 = space1.vectors()
-    for x in v1:
+    for x in space1.iter_vectors():
         tx = theta[x]
-        for y in v1:
+        for y in space1.iter_vectors():
             if theta[space1.add(x, y)] != space2.add(tx, theta[y]):
                 return x, y
     return None
@@ -108,7 +107,7 @@ def multiplicativity_witness(space1, space2, eta):
 def intertwining_witness(space1, space2, theta, eta):
     """First (a, x) with theta(a x) != eta(a) theta(x), or None."""
     for a in range(1, space1.field.order):
-        for x in space1.vectors():
+        for x in space1.iter_vectors():
             if theta[space1.scalar_mul(a, x)] != space2.scalar_mul(eta[a], theta[x]):
                 return a, x
     return None

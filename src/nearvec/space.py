@@ -126,16 +126,16 @@ class TwistedSpace:
         self._power_tables = {}
         # per-coordinate twist tables, shared between equal exponents
         self._psi = [self.power_table(q) for q in self.exponents]
-        self._vectors = None
-        self._quasi_kernel = None
         self._class_add_tables = {}
         # per-space memos: _orbit_sums' vector -> (table, escape), its
-        # tables interned by their encoded rows, the field's add rows as
-        # its lookup tables, and span._dim_layers' layers
+        # tables interned by their encoded rows, and the field's add rows
+        # as its lookup tables.  The orbit memo shares each resolve among
+        # the oracles of one verify pass, and reaches |V| entries only
+        # after the brute-force Q(V); the tables are bounded by |F|^2.
+        # The vector list, Q(V) and the dimension layers are not kept.
         self._resolved_orbits = {}
         self._interned_tables = {}
         self._add_luts = None
-        self._dim_layer_cache = None
 
     @staticmethod
     def _reduce(q, m):
@@ -187,6 +187,8 @@ class TwistedSpace:
         product of these.  Over GF(2), where |F*| = 1, every such power is
         the identity.
         """
+        if type(k) is not int:  # bool too, as in Field.pow
+            raise InvalidConfigError(f"exponent must be an integer, got {k!r}")
         m = self.field.mult_order
         k = k % m if m > 1 else 1
         table = self._power_tables.get(k)
@@ -327,11 +329,6 @@ class TwistedSpace:
         """All vectors in lexicographic coordinate order (deterministic)."""
         return product(range(self.field.order), repeat=self.n)
 
-    def vectors(self):
-        if self._vectors is None:
-            self._vectors = list(self.iter_vectors())
-        return self._vectors
-
     # -- induced-addition plumbing -----------------------------------------
 
     def check_class_table_bound(self):
@@ -368,11 +365,9 @@ class TwistedSpace:
     # -- quasi-kernel -------------------------------------------------------
 
     def quasi_kernel(self):
-        """The cached closed-form quasi-kernel (the fast route; the brute
-        route lives in quasi_kernel_bruteforce and certifies this one)."""
-        if self._quasi_kernel is None:
-            self._quasi_kernel = quasi_kernel_closed_form(self)
-        return self._quasi_kernel
+        """The closed-form quasi-kernel, built on each call (the fast
+        route; the brute route quasi_kernel_bruteforce certifies it)."""
+        return quasi_kernel_closed_form(self)
 
     # -- config -------------------------------------------------------------
 
@@ -404,20 +399,12 @@ class QuasiKernel:
     def __init__(self, space, members):
         self.space = space
         self.members = frozenset(members)
-        self._sorted = None
-
-    @property
-    def nonzero(self):
-        return self.members - {self.space.zero}
 
     def sorted_members(self):
-        if self._sorted is None:
-            self._sorted = sorted(self.members)
-        return self._sorted
+        return sorted(self.members)
 
     def sorted_nonzero(self):
-        zero = self.space.zero
-        return [v for v in self.sorted_members() if v != zero]
+        return sorted(self.members - {self.space.zero})
 
 
 def quasi_kernel_report(space, member_limit=4096):

@@ -365,8 +365,6 @@ def _dim_layers(space):
     frontier vector whose sums give the last nonzero vector its depth,
     inside a layer too, as any further pair could only find nothing.
     """
-    if space._dim_layer_cache is not None:
-        return space._dim_layer_cache
     qstar = space.quasi_kernel().sorted_nonzero()
     zero, full = space.zero, space.size - 1
     level = {q: (None, q) for q in qstar}  # v -> (previous vector, q summand)
@@ -385,26 +383,28 @@ def _dim_layers(space):
             if len(depth) == full:
                 break
         frontier = new
-    space._dim_layer_cache = (depth, level)
     return depth, level
 
 
-def dim_search(space, v):
-    """dim(v) by minimal-representation search over the sumset layers of
-    Q(V)*, with the back-pointer walk as witness: the oracle that
-    ``dim_of_vector`` is checked against."""
-    space.check_vector(v)
-    if v == space.zero:
-        return DimResult(0, ())
+def dim_searcher(space):
+    """``dim_of_vector``'s oracle: v -> dim(v) by minimal-representation
+    search over the sumset layers of Q(V)*, built once here and dropped
+    with the function, with the back-pointer walk as witness."""
     depth, level = _dim_layers(space)
-    if v not in depth:
-        raise InvariantError(f"{v} not reachable from quasi-kernel sums")
-    witness = []
-    cur = v
-    while cur is not None:
-        cur, q = level[cur]
-        witness.append(q)
-    return DimResult(depth[v], reversed(witness))
+
+    def search(v):
+        space.check_vector(v)
+        if v == space.zero:
+            return DimResult(0, ())
+        if v not in depth:
+            raise InvariantError(f"{v} not reachable from quasi-kernel sums")
+        witness, cur = [], v
+        while cur is not None:
+            cur, q = level[cur]
+            witness.append(q)
+        return DimResult(depth[v], reversed(witness))
+
+    return search
 
 
 def dim_of_vector(space, v):
@@ -413,7 +413,7 @@ def dim_of_vector(space, v):
 
     Each part is class-supported, so it lies in Q(V), and every Q(V)
     vector meets one class, so no fewer terms can sum to v.  The search
-    oracle is ``dim_search``.
+    oracle is ``dim_searcher``.
     """
     space.check_vector(v)
     parts = sorted(space.class_parts(v).values())

@@ -32,6 +32,14 @@ def _check(name, passed, witness=None, **extra):
     return entry
 
 
+def _vector_at(space, i):
+    """The vector at position i of ``space.iter_vectors()``.
+    ``Random.sample`` reads its population only through ``len`` and
+    indexing, so sampling positions picks what sampling the list would."""
+    order = space.field.order
+    return tuple(i // order ** k % order for k in reversed(range(space.n)))
+
+
 def axioms_suite(space, seed=0, max_size=None):
     report = check_axioms(space)
     checks = [
@@ -144,10 +152,9 @@ def span_oracle_suite(space, seed=0, max_size=None):
     the members, so a wrong span fails at the same vector either way.
     """
     limit = SPAN_SWEEP_LIMIT if max_size is None else min(SPAN_SWEEP_LIMIT, max_size)
-    vectors = space.vectors()
     if space.size <= limit:
-        sweep = vectors
-        mode = {"mode": "exhaustive", "vectors": len(sweep)}
+        sweep = space.iter_vectors()
+        mode = {"mode": "exhaustive", "vectors": space.size}
     else:
         # members and closures are built once per scalar orbit met, each
         # about |span| <= |V| sums.  The formula below is no cost model:
@@ -155,9 +162,11 @@ def span_oracle_suite(space, seed=0, max_size=None):
         per_vector = 3 * space.size * space.field.order
         sample = max(10, min(SPAN_SAMPLE, 30_000_000 // per_vector))
         rng = random.Random(seed)
-        sweep = rng.sample(vectors, min(sample, len(vectors)))
+        positions = rng.sample(range(space.size), min(sample, space.size))
+        sweep = [_vector_at(space, i) for i in positions]
         mode = {"mode": "sampled", "vectors": len(sweep), "seed": seed}
 
+    dim_search = span_mod.dim_searcher(space)
     ok_all = True
     witness = None
     orbit_forms = {}  # multiple set -> the echelon form checked for it
@@ -174,7 +183,7 @@ def span_oracle_suite(space, seed=0, max_size=None):
             ok_all, witness = False, ("span_vs_closure", v)
             break
         closed = span_mod.dim_of_vector(space, v)
-        search = span_mod.dim_search(space, v)
+        search = dim_search(v)
         if (closed.value, closed.witness) != (search.value, search.witness):
             ok_all, witness = False, ("dim_closed_form_vs_search", v)
             break
@@ -183,10 +192,10 @@ def span_oracle_suite(space, seed=0, max_size=None):
     pair_ok = True
     pair_witness = None
     rng = random.Random(seed + 1)
-    candidates = [v for v in vectors if v != space.zero]
+    candidates = range(1, space.size)  # the nonzero vectors
     pair_rounds = max(3, min(20, 10_000_000 // max(2 * space.size * space.field.order, 1)))
     for _ in range(min(pair_rounds, len(candidates))):
-        gens = rng.sample(candidates, min(2, len(candidates)))
+        gens = [_vector_at(space, i) for i in rng.sample(candidates, min(2, len(candidates)))]
         if span_mod.span_of(space, gens).members != span_mod.subspace_closure_oracle(
             space, gens
         ):
@@ -231,13 +240,19 @@ def decomposition_suite(space, seed=0, max_size=None):
     rng = random.Random(seed)
     for comp in deco.components:
         # the vectors ``maximality_witness`` takes as outside: nonzero and
-        # not of the component's class
-        outsiders = [
-            v for v in space.vectors()
+        # not of the component's class, all but its |F|^|c| members
+        outsiders = (
+            v for v in space.iter_vectors()
             if v != space.zero and space._class_of(v) != comp.class_id
-        ]
-        if space.size > limit and len(outsiders) > SPAN_SAMPLE:
-            outsiders = rng.sample(outsiders, SPAN_SAMPLE)
+        )
+        count = space.size - space.field.order ** len(comp.support)
+        if space.size > limit and count > SPAN_SAMPLE:
+            # picked up in one pass, checked in the order drawn
+            at = dict.fromkeys(rng.sample(range(count), SPAN_SAMPLE))
+            for i, v in enumerate(outsiders):
+                if i in at:
+                    at[i] = v
+            outsiders = at.values()
         for m in outsiders:
             if structure.maximality_witness(space, comp, m) is None:
                 max_ok, max_witness = False, (comp.class_id, m)
@@ -260,9 +275,9 @@ def _class_placement_breach(space, deco):
     for comp in deco.components:
         for m in comp.members:
             holders.setdefault(m, []).append(comp.class_id)
-    qk = space.quasi_kernel()
-    breaches = [m for m in holders if m != space.zero and m not in qk.members]
-    breaches += [v for v in qk.nonzero if holders.get(v) != [space.class_of(v)]]
+    breaches = [m for m in holders if m != space.zero and space._class_of(m) is None]
+    breaches += [v for v in space.quasi_kernel().members
+                 if v != space.zero and holders.get(v) != [space._class_of(v)]]
     return min(breaches, default=None)
 
 
@@ -294,6 +309,8 @@ def run_suites(space, names, seed=0, max_size=None):
     """Run the selected suites; "all" adds the quasi-kernel oracle."""
     if max_size is not None and (type(max_size) is not int or max_size < 0):
         raise InvalidConfigError(f"max_size must be a non-negative integer, got {max_size!r}")
+    if type(seed) is not int:  # bool too: it would be echoed as true
+        raise InvalidConfigError(f"seed must be an integer, got {seed!r}")
     # a bare string would be read letter by letter
     if not isinstance(names, (list, tuple)):
         raise InvalidConfigError(f"suite names must be a list or tuple, got {names!r}")

@@ -130,13 +130,14 @@ def test_criterion_5_span_triple_agreement():
         if space.size > 2000:
             continue
         swept_spaces += 1
-        for v in space.vectors():
+        dim_search = spn.dim_searcher(space)
+        for v in space.iter_vectors():
             swept_vectors += 1
             members = spn.span_of(space, [v]).members
             assert members == spn.linear_combinations(space, v), v
             assert members == spn.subspace_closure_oracle(space, [v]), v
             closed = spn.dim_of_vector(space, v)
-            search = spn.dim_search(space, v)
+            search = dim_search(v)
             assert (closed.value, closed.witness) == (search.value, search.witness), v
             assert len(closed.witness) == closed.value
     elapsed = time.perf_counter() - start
@@ -175,7 +176,7 @@ def test_criterion_7_key_lemma():
 def test_criterion_8_subspace_characterization():
     start = time.perf_counter()
     space = get_space(5, 1, (1, 3))
-    vectors = space.vectors()
+    vectors = list(space.iter_vectors())
     zero = space.zero
 
     # every additive subgroup of (Z/5)^2 is generated by at most two
@@ -259,7 +260,7 @@ def test_criterion_10_order_two_remark():
             assert len(involutions) == 1, (p, r)
             x = involutions[0]
             assert x == field.neg(1)
-            for v in space.vectors():
+            for v in space.iter_vectors():
                 assert space.scalar_mul(x, v) == space.neg(v)
     # and the same holds inside the proper near-field
     d9 = nf.dickson9()
@@ -281,14 +282,14 @@ def test_criterion_11_canonical_coordinates():
         basis = spn.extract_basis(space)
         cmap = spn.CoordinateMap(space, basis)
         coords = {}
-        for v in space.vectors():
+        for v in space.iter_vectors():
             c = cmap.to_coords(v)
             assert cmap.from_coords(c) == v, v
             coords[v] = c
         assert len(set(coords.values())) == space.size  # bijection
 
         tables = [cmap.addition_table(i) for i in range(space.n)]
-        vectors = space.vectors()
+        vectors = list(space.iter_vectors())
         add = space.add
         n = space.n
         for v in vectors:

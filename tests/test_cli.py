@@ -309,6 +309,18 @@ def test_run_suites_refuses_a_negative_max_size():
         verify.run_suites(get_space(5, 1, (1, 3)), ["all"], max_size=-1)
 
 
+@pytest.mark.parametrize("seed", [None, "a", 1.5, True], ids=repr)
+def test_run_suites_refuses_a_seed_that_is_no_integer(seed):
+    # True and 1.5 would be echoed into the report, None and "a" would
+    # fail at seed + 1
+    with pytest.raises(InvalidConfigError, match="seed"):
+        verify.run_suites(get_space(5, 1, (1, 3)), ["all"], seed=seed)
+
+
+def test_run_suites_takes_a_negative_seed():
+    assert verify.run_suites(get_space(5, 1, (1, 3)), ["all"], seed=-3)["seed"] == -3
+
+
 def test_missing_file_exits_2(capsys):
     assert main(["info", "/nonexistent/config.json"]) == 2
     capsys.readouterr()

@@ -10,12 +10,14 @@ from hypothesis import strategies as hst
 from conftest import CORPUS, MODULI, get_field
 from nearvec.errors import (
     DivisionByZeroError,
+    InvalidConfigError,
     InvalidElementError,
     NonPrimeError,
     ReduciblePolynomialError,
     TooLargeError,
 )
 from nearvec.finite_field import TABLE_LIMIT, Field, is_prime, prime_factors
+from nearvec.space import TwistedSpace
 
 
 def test_make_prime_field():
@@ -326,6 +328,27 @@ def test_operand_outside_a_field_above_the_table_limit_raises(method, a):
     with pytest.raises(InvalidElementError) as info:
         ELEMENT_CALLS[method](f, a)
     assert isinstance(info.value, IndexError)
+
+
+# every call that takes an exponent k; the space's power tables feed
+# span_of's straightening
+EXPONENT_CALLS = {
+    "pow": lambda f, k: f.pow(3, k),
+    "pow_of_zero": lambda f, k: f.pow(0, k),
+    "pow_table": lambda f, k: f.pow_table(k),
+    "space_power_table": lambda f, k: TwistedSpace(f, (1,)).power_table(k),
+}
+
+
+@pytest.mark.parametrize("k", [2.5, None, "3", True], ids=repr)
+@pytest.mark.parametrize("method", list(EXPONENT_CALLS))
+@pytest.mark.parametrize("key", [(13, 1), (2, 11)], ids=str)
+def test_exponent_that_is_no_integer_raises(key, method, k):
+    # True is refused as for elements, though pow(3, True) would be 3
+    f = get_field(*key)
+    with pytest.raises(InvalidConfigError, match="exponent") as info:
+        EXPONENT_CALLS[method](f, k)
+    assert repr(k) in str(info.value)
 
 
 # every field of the shared corpus, plus GF(2^10), GF(2^11) and GF(3^7)

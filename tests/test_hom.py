@@ -28,14 +28,14 @@ CORRUPTIONS_PER_MAP = 5  # of theta and of eta, for each of 14 maps: 70 each
 
 
 def identity_map(space):
-    return {v: v for v in space.vectors()}, {a: a for a in space.field.units()}
+    return {v: v for v in space.iter_vectors()}, {a: a for a in space.field.units()}
 
 
 def frobenius_map(space):
     """x -> x^p on every coordinate and on the scalars: an endomorphism,
     because (a^q v)^p = (a^p)^q v^p and Frobenius is additive."""
     frob = space.field.frobenius
-    theta = {v: tuple(map(frob, v)) for v in space.vectors()}
+    theta = {v: tuple(map(frob, v)) for v in space.iter_vectors()}
     return theta, {a: frob(a) for a in space.field.units()}
 
 
@@ -67,7 +67,7 @@ def test_fast_route_agrees_with_oracle_on_corruptions(entry, kind):
     space = get_space(*entry)
     rng = random.Random(f"{entry}/{kind}")
     theta, eta = MAPS[kind](space)
-    vectors = space.vectors()
+    vectors = list(space.iter_vectors())
     units = list(space.field.units())
     failures = 0
     for _ in range(CORRUPTIONS_PER_MAP):
@@ -102,7 +102,7 @@ def test_eta_failing_only_at_the_full_period_is_caught():
     order 10 in GF(11)*, so eta(2^4) = eta(1) = 1 != 2^4 = 5."""
     source = get_space(5, 1, (1,))
     target = get_space(11, 1, (1,))
-    theta = {v: target.zero for v in source.vectors()}
+    theta = {v: target.zero for v in source.iter_vectors()}
     eta = {1: 1, 2: 2, 4: 4, 3: 8}
     assert source.field.generator() == 2
     assert not hom.is_multiplicative(source, target, eta)
@@ -116,7 +116,7 @@ def test_every_fp_basis_generator_is_checked():
     basis vector, and along no other."""
     space = get_space(5, 1, (1, 3))
     _, eta = identity_map(space)
-    theta = {(a, b): (a, b * b % 5) for a, b in space.vectors()}
+    theta = {(a, b): (a, b * b % 5) for a, b in space.iter_vectors()}
     assert not hom.is_additive(space, space, theta)
     report = hom.hom_check(space, space, theta, eta)
     assert report == hom.hom_check_oracle(space, space, theta, eta)
@@ -141,7 +141,7 @@ def test_fp_basis_spans_the_additive_group():
     space = get_space(3, 2, (1, 5))
     basis = hom.fp_basis(space)
     assert len(basis) == space.field.r * space.n
-    assert set(additive_closure(space, basis)) == set(space.vectors())
+    assert set(additive_closure(space, basis)) == set(space.iter_vectors())
 
 
 # -- map validation -------------------------------------------------------------
@@ -226,5 +226,5 @@ def test_cli_checks_each_image_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "map.json"
     path.write_text(json.dumps(IDENTITY))
     assert main(["hom", str(cfg), str(cfg), str(path)]) == 0
-    assert sorted(checked) == space.vectors()
+    assert sorted(checked) == list(space.iter_vectors())
     capsys.readouterr()

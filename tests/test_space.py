@@ -84,12 +84,12 @@ class TestArithmetic:
         space = get_space(11, 1, (3, 7, 3))
         assert space.add((1, 2, 3), (10, 9, 8)) == (0, 0, 0)
         assert space.add((1, 2, 3), space.zero) == (1, 2, 3)
-        for v in space.vectors()[:50]:
+        for v in list(space.iter_vectors())[:50]:
             assert space.neg(v) == space.scalar_mul(space.field.neg(1), v)
 
     def test_enumeration_is_lexicographic(self):
         space = get_space(5, 1, (1, 1))
-        vecs = space.vectors()
+        vecs = list(space.iter_vectors())
         assert vecs[:6] == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4), (1, 0)]
         assert vecs == sorted(vecs)
 
@@ -227,7 +227,7 @@ class TestQuasiKernel:
 
     def test_untwisted_quasi_kernel_is_everything(self):
         space = get_space(5, 1, (1, 1))
-        assert quasi_kernel_bruteforce(space).members == set(space.vectors())
+        assert quasi_kernel_bruteforce(space).members == set(space.iter_vectors())
 
     def test_zero_always_in_quasi_kernel(self):
         for key in [(5, 1, (1, 3)), (3, 2, (1, 5)), (7, 1, (1, 5, 5))]:
@@ -235,7 +235,7 @@ class TestQuasiKernel:
 
     def test_single_coordinate_space_has_full_quasi_kernel(self):
         space = get_space(13, 2, (5,))
-        assert space.quasi_kernel().members == set(space.vectors())
+        assert space.quasi_kernel().members == set(space.iter_vectors())
 
     @pytest.mark.parametrize(
         "key",
@@ -316,7 +316,7 @@ Z3 = [[(a + b) % 3 for b in range(3)] for a in range(3)]
 def space_tables(space):
     """The explicit addition table of V and the action of every scalar,
     over the enumerated vectors: the input of ``check_axioms_raw``."""
-    vectors = space.vectors()
+    vectors = list(space.iter_vectors())
     index = {v: i for i, v in enumerate(vectors)}
     add = [[index[space.add(v, w)] for w in vectors] for v in vectors]
     endos = [
@@ -609,7 +609,7 @@ class TestSerialization:
 
     def test_vector_json_round_trip_extension_field(self):
         space = get_space(3, 2, (1, 5))
-        for v in space.vectors()[:10]:
+        for v in list(space.iter_vectors())[:10]:
             data = vector_to_json(space, v)
             assert vector_from_json(space, json.loads(json.dumps(data))) == v
 

@@ -1,5 +1,6 @@
 """Tests for linear combinations, span, dimension, bases and coordinates."""
 
+import gc
 import random
 import tracemalloc
 from math import gcd
@@ -8,8 +9,14 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as hst
 
-from conftest import check_components_against_bruteforce, corpus_spaces, get_space
+from conftest import (
+    check_components_against_bruteforce,
+    corpus_spaces,
+    get_field,
+    get_space,
+)
 from nearvec import near_field as nf
+from nearvec import space as space_mod
 from nearvec import span as spn
 from nearvec import structure as st
 from nearvec import verify
@@ -82,13 +89,13 @@ class TestSpan:
     def test_span_equals_linear_combinations_for_single_vectors(self):
         for key in [(5, 1, (1, 3)), (3, 2, (1, 5)), (7, 1, (1, 5))]:
             space = get_space(*key)
-            for v in space.vectors():
+            for v in space.iter_vectors():
                 assert spn.span_of(space, [v]).members == \
                     spn.linear_combinations(space, v)
 
     def test_span_agrees_with_closure_oracle_on_generator_sets(self):
         space = get_space(5, 1, (1, 3))
-        vecs = space.vectors()
+        vecs = list(space.iter_vectors())
         for gens in [
             [(1, 2)], [(1, 0), (0, 2)], [(1, 1), (2, 2)],
             [(1, 2), (3, 4), (2, 1)], [],
@@ -106,7 +113,7 @@ class TestSpan:
         # on GF(5)^2 with exponents (1, 3) the subspaces can be listed
         # outright, so span can be computed straight from its definition
         space = get_space(5, 1, (1, 3))
-        vectors = set(space.vectors())
+        vectors = set(space.iter_vectors())
         lines = set()
         for v in vectors - {space.zero}:
             line = frozenset(space.scalar_mul(a, v) for a in range(5))
@@ -143,7 +150,7 @@ def generator_sets(space, rng):
     """Seeded generator sets: the empty set, one to three random vectors,
     and dependent sets (a vector with a multiple, and with the sum of
     the two)."""
-    vectors = space.vectors()
+    vectors = list(space.iter_vectors())
     v, w = rng.choice(vectors), rng.choice(vectors)
     twice = space.scalar_mul(rng.randrange(space.field.order), v)
     sets = [[], [v, twice], [v, w, space.add(v, w)]]
@@ -172,8 +179,8 @@ class TestEchelonForm:
         for gens in generator_sets(space, rng):
             sub = spn.span_of(space, gens)
             closure = spn.subspace_closure_oracle(space, gens)
-            assert [v in sub for v in space.vectors()] == \
-                [v in closure for v in space.vectors()], gens
+            assert [v in sub for v in space.iter_vectors()] == \
+                [v in closure for v in space.iter_vectors()], gens
 
     def test_membership_validates(self):
         sub = spn.span_of(get_space(11, 1, (3, 7, 3)), [(2, 5, 6)])
@@ -277,9 +284,10 @@ class TestDimensionSweep:
         p, r, exponents, vectors = drawn
         space = get_space(p, r, exponents)
         qk = space.quasi_kernel().members
+        dim_search = spn.dim_searcher(space)
         for v in vectors:
             closed = spn.dim_of_vector(space, v)
-            search = spn.dim_search(space, v)
+            search = dim_search(v)
             assert (closed.value, closed.witness) == (search.value, search.witness), v
             total = space.zero
             for term in closed.witness:
@@ -357,6 +365,76 @@ class TestSpanOracleOrbits:
         check = result["checks"][0]
         assert not result["pass"] and check["mode"] == "exhaustive"
         assert check["witness"] == ["span_vs_closure", list(target)]
+
+
+def list_sampled_inputs(space, seed):
+    """What ``span_of`` and ``maximality_witness`` receive from the
+    sampled span-oracle and decomposition suites on a passing space, with
+    every sample drawn from the list of all vectors: the reference for
+    the suites' sampling by position."""
+    vectors = list(space.iter_vectors())
+    per_vector = 3 * space.size * space.field.order
+    sample = max(10, min(verify.SPAN_SAMPLE, 30_000_000 // per_vector))
+    spans = [[v] for v in random.Random(seed).sample(vectors, min(sample, len(vectors)))]
+    rng = random.Random(seed + 1)
+    candidates = [v for v in vectors if v != space.zero]
+    pair_rounds = max(3, min(20, 10_000_000 // max(2 * space.size * space.field.order, 1)))
+    spans += [rng.sample(candidates, min(2, len(candidates)))
+              for _ in range(min(pair_rounds, len(candidates)))]
+    rng = random.Random(seed)
+    outsiders = []
+    for comp in st.decompose(space).components:
+        out = [v for v in vectors if v != space.zero and space._class_of(v) != comp.class_id]
+        if len(out) > verify.SPAN_SAMPLE:
+            out = rng.sample(out, verify.SPAN_SAMPLE)
+        outsiders += [(comp.class_id, m) for m in out]
+    return spans, outsiders
+
+
+class TestSuitesKeepNoWholeSpaceState:
+    """The span-oracle and decomposition suites sample vectors by
+    position and leave nothing of |V| size on the space."""
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    @pytest.mark.parametrize("key", [(11, 1, (3, 7, 3)), (5, 2, (1, 7, 13))], ids=str)
+    def test_sampled_inputs_match_list_sampling(self, monkeypatch, key, seed):
+        space = TwistedSpace(get_field(*key[:2]), key[2])
+        max_size = 100
+        assert space.size > max_size
+        spans, outsiders = [], []
+        span_of, witness = spn.span_of, st.maximality_witness
+
+        def recorded_span_of(space_, generators):
+            spans.append(list(generators))
+            return span_of(space_, generators)
+
+        def recorded_witness(space_, comp, outsider):
+            outsiders.append((comp.class_id, outsider))
+            return witness(space_, comp, outsider)
+
+        monkeypatch.setattr(spn, "span_of", recorded_span_of)
+        monkeypatch.setattr(st, "maximality_witness", recorded_witness)
+        result = verify.span_oracle_suite(space, seed=seed, max_size=max_size)
+        assert result["pass"] and result["checks"][0]["mode"] == "sampled"
+        assert verify.decomposition_suite(space, seed=seed, max_size=max_size)["pass"]
+        assert (spans, outsiders) == list_sampled_inputs(space, seed)
+
+    def test_suites_leave_no_whole_space_state(self):
+        # GF(31)^3 is sampled by both suites, with no max_size.  A space
+        # that kept its vector list, Q(V) and the dimension layers held
+        # 8 MB after each.  A full collection empties the interpreter's
+        # free lists, which tracemalloc counts as held.
+        tracemalloc.start()
+        try:
+            space = TwistedSpace(Field(31), (1, 1, 7))
+            assert space.size > verify.MAXIMALITY_SWEEP_LIMIT
+            for suite in (verify.span_oracle_suite, verify.decomposition_suite):
+                assert suite(space)["pass"]
+                gc.collect()
+                held = tracemalloc.get_traced_memory()[0]
+                assert held < 0.5 * 2**20, f"{suite.__name__}: {held / 2**20:.2f} MB"
+        finally:
+            tracemalloc.stop()
 
 
 class TestQuasiKernelSweep:
@@ -498,7 +576,7 @@ class TestIsSubspace:
             {(a, 0) for a in range(5)},
             {(0, b) for b in range(5)},
             {(a, a) for a in range(5)},
-            set(space.vectors()),
+            set(space.iter_vectors()),
             {space.zero},
         ]:
             closed = spn.is_subspace(space, subset)
@@ -512,13 +590,13 @@ class TestCanonicalCoordinates:
                     (2, 2, (1, 2)), (2, 3, (3, 5))]:
             space = get_space(*key)
             cmap = spn.CoordinateMap(space, spn.extract_basis(space))
-            for v in space.vectors():
+            for v in space.iter_vectors():
                 assert cmap.from_coords(cmap.to_coords(v)) == v
 
     def test_untwisted_coordinates_are_literal(self):
         space = get_space(5, 1, (1, 1))
         cmap = spn.CoordinateMap(space, space.standard_basis())
-        for v in space.vectors():
+        for v in space.iter_vectors():
             assert cmap.to_coords(v) == v
 
     def test_scaled_basis_example(self):
@@ -532,9 +610,9 @@ class TestCanonicalCoordinates:
         space = get_space(11, 1, (3, 7, 3))
         basis = spn.extract_basis(space)
         cmap = spn.CoordinateMap(space, basis)
-        coords = {v: cmap.to_coords(v) for v in space.vectors()}
+        coords = {v: cmap.to_coords(v) for v in space.iter_vectors()}
         tables = [cmap.addition_table(i) for i in range(space.n)]
-        sample = space.vectors()[:: max(1, space.size // 400)]
+        sample = list(space.iter_vectors())[:: max(1, space.size // 400)]
         for v in sample:
             for w in sample:
                 expected = tuple(
@@ -600,7 +678,7 @@ class TestReduceOnce:
     def test_coordinate_map(self, eliminations):
         space = get_space(11, 1, (3, 7, 3))
         cmap = spn.CoordinateMap(space, spn.extract_basis(space))
-        for v in space.vectors():
+        for v in space.iter_vectors():
             assert cmap.from_coords(cmap.to_coords(v)) == v
         assert sorted(eliminations) == list(range(len(space.classes)))
 
@@ -670,7 +748,7 @@ class TestVectorValidation:
             space, st.decompose(space).components[0], [0, 1, 0]),
         lambda space: st.verify_shared_addition(
             space, space.standard_basis(), [1, 0, 0], (0, 0, 1)),
-        lambda space: spn.dim_search(space, [1, 0, 0]),
+        lambda space: spn.dim_searcher(space)([1, 0, 0]),
         lambda space: spn.is_subspace(space, [[0, 0, 0], [1, 0, 0]]),
         lambda space: spn.subspace_closure_naive(space, [[1, 0, 0]]),
         lambda space: additive_closure(space, [[1, 0, 0]]),
@@ -716,9 +794,13 @@ class TestQuasiKernelNotEnumerated:
     ], ids=["to_coords", "coordinates_in_independent_set",
             "induced_addition_closed_form", "quasi_kernel_report",
             "decompose", "are_compatible", "extract_basis"])
-    def test_quasi_kernel_is_not_built(self, space, call):
+    def test_quasi_kernel_is_not_built(self, space, call, monkeypatch):
+        # every build of Q(V) goes through the closed form, cached or not
+        def refuse(space_):
+            raise AssertionError("Q(V) was enumerated")
+
+        monkeypatch.setattr(space_mod, "quasi_kernel_closed_form", refuse)
         call(space)
-        assert space._quasi_kernel is None
 
 
 ABOVE_TABLE_LIMIT = [

@@ -4,10 +4,11 @@ Inside one exponent class the coordinate maps x -> x^(q/q_i), q the
 class exponent, straighten the twist: each is a Frobenius power, so
 they keep vector addition and turn the action of alpha into plain
 multiplication by alpha^q.  Since alpha -> alpha^q is a bijection of F,
-each regular component is so carried onto a vector space over F, and
-span, independence and coordinates are computed there by one
-elimination over F, once per class of a basis, then certified against
-closure oracles that know nothing about it.
+each regular component is so carried onto a vector space over F.  There
+``_echelon`` eliminates each class of the generators once, and the
+``Subspace`` keeping its rows answers membership and coordinates with
+one reduction per class, certified against closure oracles that know
+nothing about it.
 """
 
 from functools import cached_property
@@ -76,7 +77,8 @@ def _echelon(space, cid, vectors):
     Returns (the independent vectors' indices, the kept (pivot, row)
     pairs in pivot order).  The rows' first m entries are the span's
     reduced row echelon form, the same for every generating set; their
-    last k write each row over the straightened vectors.
+    last entries, one per independent vector, write each row over those
+    vectors straightened.
     """
     field = space.field
     support = space.classes[cid].support
@@ -94,57 +96,28 @@ def _echelon(space, cid, vectors):
         rows.append((pivot, x))
         rows.sort(key=lambda pr: pr[0])
         chosen.append(j)
-    return chosen, rows
+    # a dependent vector's row is never kept, so its column is zero
+    return chosen, [(p, row[:m] + [row[m + j] for j in chosen]) for p, row in rows]
 
 
 def _solver(space, vectors):
-    """The coordinate solve over independent quasi-kernel vectors, with
-    each exponent class eliminated once: a function taking a target to
-    its coefficient tuple, or to None when no expansion exists.
-
-    Per class, sum_j a_j v_j = t straightens to sum_j y_j s(v_j) = s(t)
-    with y_j = a_j^q.  Reducing (s(t), 0) by the class's echelon rows,
-    their last entries negated, leaves (0, y) exactly when the expansion
-    exists.  Its pivot entries reduce to zero by construction, so only
-    the others are computed.
-    """
-    by_class = {}
-    for idx, b in enumerate(vectors):
-        cid = space.class_of(b)
-        if cid is None:
+    """The coordinate solve over independent quasi-kernel vectors: their
+    span's ``Subspace.coordinates``, read back in input order, so each
+    exponent class is eliminated once however many targets it solves.
+    A function taking a target to its coefficient tuple, or to None when
+    no expansion exists."""
+    for b in vectors:
+        if space.class_of(b) is None:
             raise NotInQuasiKernelError(f"{b} is not a nonzero quasi-kernel vector")
-        by_class.setdefault(cid, []).append(idx)
-    field = space.field
-    neg = field.neg_table()
-    solves = {}
-    for cid, idxs in by_class.items():
-        chosen, rows = _echelon(space, cid, [vectors[i] for i in idxs])
-        if len(chosen) < len(idxs):
-            raise NotABasisError("vectors are dependent inside an exponent class")
-        cls = space.classes[cid]
-        pivots = [p for p, _ in rows]
-        checks = [i for i in range(len(cls.support)) if i not in pivots]
-        rows = [[row[i] for i in checks] + [neg[c] for c in row[len(cls.support):]]
-                for _, row in rows]
-        straighten = list(zip(_straightening(space, cid), cls.support))
-        unstraighten = space.power_table(pow(cls.exponent, -1, field.mult_order))
-        solves[cid] = idxs, straighten, pivots, checks, rows, unstraighten
+    sub = span_of(space, vectors)
+    if sub.dim < len(vectors):
+        raise NotABasisError("vectors are dependent inside an exponent class")
+    # a quasi-kernel vector is its own class part, so span_of kept each
+    at = [sub.generators.index(b) for b in vectors]
 
     def solve(target):
-        space.check_vector(target)
-        coeffs = [0] * len(vectors)
-        for cid in {space._class_of_coord[i] for i in space.support(target)}:
-            if cid not in solves:
-                return None
-            idxs, straighten, pivots, checks, rows, unstraighten = solves[cid]
-            s = [table[target[i]] for table, i in straighten]
-            left = _minus(field, [s[i] for i in checks] + [0] * len(idxs),
-                          zip(map(s.__getitem__, pivots), rows))
-            if any(left[:len(checks)]):
-                return None
-            for i, y in zip(idxs, left[len(checks):]):
-                coeffs[i] = unstraighten[y]
-        return tuple(coeffs)
+        coeffs = sub.coordinates(target)
+        return None if coeffs is None else tuple(coeffs[k] for k in at)
 
     return solve
 
@@ -220,37 +193,61 @@ def subspace_closure_naive(space, generators, limit=512):
 
 
 class Subspace:
-    """A subspace held as its reduced row echelon form per class:
-    ``echelon`` maps a class index to its (pivot, row) pairs, in the
-    class's straightened coordinates, so two subspaces are equal exactly
-    when their forms are.  ``generators`` are the independent generator
-    parts that ``span_of`` chose.  Membership is one reduction per class
-    part, and ``members`` is built from ``iter_members`` only when read.
+    """A subspace held per class as the rows ``_echelon`` kept for the
+    generator parts that ``span_of`` picked, ``generators``.
+    ``echelon`` maps a class index to the rows' reduced row echelon form
+    alone, so two subspaces are equal exactly when their forms are.
+    Membership and coordinates are one reduction per class, and
+    ``members`` is built from ``iter_members`` only when read.
     """
 
-    def __init__(self, space, generators, generator_classes, echelon):
+    def __init__(self, space, generators, rows):
         self.space = space
         self.generators = tuple(generators)
-        self.generator_classes = tuple(generator_classes)
-        self.echelon = echelon
+        self._rows = rows
+        self.echelon = {cid: [(p, row[:len(space.classes[cid].support)]) for p, row in kept]
+                        for cid, kept in rows.items()}
         self.dim = len(self.generators)
         self.member_count = space.field.order ** self.dim
 
     @property
     def component_supports(self):
-        cids = dict.fromkeys(self.generator_classes)
-        return [list(self.space.classes[cid].support) for cid in cids]
+        return [list(self.space.classes[cid].support) for cid in self._rows]
 
-    def __contains__(self, v):
+    @cached_property
+    def _solves(self):
+        """Per class, in the order of ``generators``: its straightening,
+        its rows (none off the span) and y -> (-y)^(1/q), q its exponent."""
+        space = self.space
+        field = space.field
+        solves = []
+        for cls in space.classes:
+            back = space.power_table(pow(cls.exponent, -1, field.mult_order))
+            solves.append((list(zip(_straightening(space, cls.index), cls.support)),
+                           self._rows.get(cls.index, []),
+                           list(map(back.__getitem__, field.neg_table()))))
+        return solves
+
+    def coordinates(self, v):
+        """v's coefficients over ``generators``, or None when v is not a
+        member.
+
+        Per class, sum_j a_j g_j = v straightens to sum_j y_j s(g_j) =
+        s(v), y_j = a_j^q.  Reducing (s(v), 0) by the class's rows leaves
+        (0, -y) exactly when v's class part is a member.
+        """
         space = self.space
         space.check_vector(v)
-        for cid, part in space.class_parts(v).items():
-            rows = self.echelon.get(cid, ())
-            x = [table[part[i]] for table, i in
-                 zip(_straightening(space, cid), space.classes[cid].support)]
-            if any(_reduce(space.field, rows, x)):
-                return False
-        return True
+        coeffs = []
+        for straighten, rows, back in self._solves:
+            x = _reduce(space.field, rows, [t[v[i]] for t, i in straighten] + [0] * len(rows))
+            if any(x[:len(straighten)]):
+                return None
+            coeffs += map(back.__getitem__, x[len(straighten):])
+        return tuple(coeffs)
+
+    def __contains__(self, v):
+        return self.coordinates(v) is not None
 
     def iter_members(self):
         """The members in ascending order, with no sort.
@@ -312,7 +309,7 @@ class Subspace:
 def span_of(space, generators):
     """Constructive span: split the generators over the regular
     components, and keep per component the parts independent of those
-    before them and the reduced row echelon form of their span."""
+    before them and ``_echelon``'s rows over them."""
     parts_by_class = {}
     for g in generators:
         space.check_vector(g)
@@ -320,16 +317,12 @@ def span_of(space, generators):
             parts_by_class.setdefault(cid, []).append(part)
 
     chosen = []
-    chosen_classes = []
-    echelon = {}
+    kept = {}
     for cid in sorted(parts_by_class):
         parts = parts_by_class[cid]
-        picked, rows = _echelon(space, cid, parts)
+        picked, kept[cid] = _echelon(space, cid, parts)
         chosen += [parts[j] for j in picked]
-        chosen_classes += [cid] * len(picked)
-        m = len(space.classes[cid].support)
-        echelon[cid] = [(p, row[:m]) for p, row in rows]
-    return Subspace(space, chosen, chosen_classes, echelon)
+    return Subspace(space, chosen, kept)
 
 
 # -- dimension ----------------------------------------------------------------

@@ -149,10 +149,11 @@ def _first_compatible(space, u, multiples):
 
 
 class RegularityCertificate:
-    def __init__(self, regular, witness, pairs_checked):
+    def __init__(self, regular, witness, pairs_checked, orbits=None):
         self.regular = regular
         self.witness = witness  # an incompatible pair, when not regular
         self.pairs_checked = pairs_checked
+        self.orbits = orbits  # the ``_orbits`` list is_regular scanned
 
     def __bool__(self):
         return self.regular
@@ -191,6 +192,7 @@ def is_regular(space):
     witness are those of the scan over all unordered pairs: the first
     failing u of that scan is an orbit minimum, since its orbit minimum
     fails with the same partner, and so is u's first failing partner.
+    The certificate keeps the orbits for ``regularity_equivalences``.
     """
     reps = _orbits(space)
     checked = 0
@@ -198,8 +200,8 @@ def is_regular(space):
         for v, multiples in reps[i:]:
             checked += 1
             if _first_compatible(space, u, multiples) is None:
-                return RegularityCertificate(False, (u, v), checked)
-    return RegularityCertificate(True, None, checked)
+                return RegularityCertificate(False, (u, v), checked, reps)
+    return RegularityCertificate(True, None, checked, reps)
 
 
 def regularity_closed_form(space):
@@ -337,21 +339,29 @@ def regularity_equivalences(space):
     """Evaluate each characterisation of regular spaces on its own terms
     and report the verdicts side by side; they must all agree.
 
-    Q(V)* is read once, into one entry per distinct induced addition in
-    first-seen order, each paired with the least vector that has it
-    (``_orbit_sums`` interns tables, so identity is the key).  Each law is
-    then scanned once per table: conditions 5, 1, 2 and 2' read the module
-    law, and 3, 7 and 1' the division-ring laws.  The witnesses are those
-    of a scan over Q(V)* in sorted order, as each listed vector is the
-    least vector with its table: the least vector whose table fails (or
-    passes) a law is the listed vector of the first listed table that
-    fails (or passes) it."""
-    qk = space.quasi_kernel()
+    Q(V)* is read once, from the scalar orbits that ``is_regular``
+    scanned, into one entry per distinct induced addition, each paired
+    with the least vector that has it (``_orbit_sums`` interns tables, so
+    identity is the key), in the order of those vectors, and into the
+    least vector whose table is not its orbit's least vector's.  Each law
+    is then scanned once per table: conditions 5, 1, 2 and 2' read the
+    module law, and 3, 7 and 1' the division-ring laws.  The witnesses
+    are those of a scan over Q(V)* in sorted order, as each listed vector
+    is the least vector with its table: the least vector whose table
+    fails (or passes) a law is the listed vector of the first listed
+    table that fails (or passes) it."""
+    reg = is_regular(space)
     firsts = {}  # id of each distinct table -> (its least vector, table)
-    for v in qk.sorted_nonzero():
-        t = _addition_table(space, v)
-        firsts.setdefault(id(t), (v, t))
-    tables = list(firsts.values())
+    stray = None  # the least (w, orbit's least vector) of differing tables
+    for rep, multiples in reg.orbits:
+        base = _addition_table(space, rep)
+        for w in multiples[1:]:
+            t = _addition_table(space, w)
+            if id(t) not in firsts or w < firsts[id(t)][0]:
+                firsts[id(t)] = (w, t)
+            if t is not base and (stray is None or w < stray[0]):
+                stray = (w, rep)
+    tables = sorted(firsts.values(), key=lambda entry: entry[0])
 
     # V is a vector space over (A, +_v, .) exactly when the action
     # distributes over +_v on every coordinate (the other module laws
@@ -361,15 +371,9 @@ def regularity_equivalences(space):
     module_fail = next(((v, bad) for v, bad in module if bad is not None), None)
     module_ok = next((v for v, bad in module if bad is None), None)
 
-    reg = is_regular(space)
-    q_is_v = len(qk.members) == space.size
-    # the division-ring verdicts that some condition reads: every table's
-    # for 3, 7 and 1', else only module_ok's for 2'
-    every = q_is_v or reg.regular or module_fail is None
-    ring = {v: _division_ring_verdict(space, t) for v, t in tables
-            if every or v == module_ok}
-    # the first vector of Q(V)* whose scalars are no division ring, read
-    # only when every table was scanned
+    q_is_v = 1 + sum(len(multiples) - 1 for _, multiples in reg.orbits) == space.size
+    ring = {v: _division_ring_verdict(space, t) for v, t in tables}
+    # the first vector of Q(V)* whose scalars are no division ring
     dr_fail = next(((v, cx) for v, (passed, cx) in ring.items() if not passed), None)
 
     conditions = {}
@@ -377,8 +381,9 @@ def regularity_equivalences(space):
 
     # (3) Q(V) = V and every induced scalar structure is a division ring
     conditions["3"] = q_is_v and dr_fail is None
+    members = () if q_is_v else {w for _, multiples in reg.orbits for w in multiples}
     witnesses["3"] = dr_fail if q_is_v else ("missing", next(
-        v for v in space.iter_vectors() if v not in qk.members))
+        v for v in space.iter_vectors() if v not in members))
 
     # (4) a single shared addition across Q(V)*; the witness is the
     # least vectors of the first two tables
@@ -395,13 +400,8 @@ def regularity_equivalences(space):
     # the witness is the least w whose table is not its orbit's least
     # vector's
     ok, wit = reg.regular, reg.witness
-    if ok:
-        stray = min((
-            (w, rep) for rep, multiples in _orbits(space) for w in multiples[1:]
-            if _addition_table(space, w) is not _addition_table(space, rep)
-        ), default=None)
-        if stray is not None:
-            ok, wit = False, ("orbit", stray[1], stray[0])
+    if ok and stray is not None:
+        ok, wit = False, ("orbit", stray[1], stray[0])
     conditions["6"], witnesses["6"] = ok, wit
 
     # (7) regular with division-ring scalars

@@ -270,14 +270,13 @@ def _class_placement_breach(space, deco):
     a nonzero member outside Q(V), or a vector of Q(V)* not held by
     exactly one component, the one of the class ``space.class_of``
     gives it.  This reads the coordinate-to-class map and the members
-    as each component holds them."""
-    holders = {}
-    for comp in deco.components:
-        for m in comp.members:
-            holders.setdefault(m, []).append(comp.class_id)
-    breaches = [m for m in holders if m != space.zero and space._class_of(m) is None]
-    breaches += [v for v in space.quasi_kernel().members
-                 if v != space.zero and holders.get(v) != [space._class_of(v)]]
+    as each component holds them, one membership test per component and
+    vector, with no map of the members built."""
+    breaches = [m for comp in deco.components for m in comp.members
+                if m != space.zero and space._class_of(m) is None]
+    breaches += [v for v in space.quasi_kernel().members if v != space.zero and
+                 [c.class_id for c in deco.components if v in c.members]
+                 != [space._class_of(v)]]
     return min(breaches, default=None)
 
 

@@ -182,6 +182,24 @@ class TestEchelonForm:
             assert [v in sub for v in space.iter_vectors()] == \
                 [v in closure for v in space.iter_vectors()], gens
 
+    @pytest.mark.parametrize("space", [
+        s for s in corpus_spaces() if s.size <= MEMBERSHIP_MAX_SIZE], ids=repr)
+    def test_coordinates_expand_exactly_the_closure(self, space):
+        # mixed and dependent generator sets, which a solve over
+        # independent quasi-kernel vectors never meets
+        rng = random.Random(space.size)
+        for gens in generator_sets(space, rng):
+            sub = spn.span_of(space, gens)
+            closure = spn.subspace_closure_oracle(space, gens)
+            for v in space.iter_vectors():
+                coeffs = sub.coordinates(v)
+                assert (coeffs is None) == (v not in closure), (gens, v)
+                if coeffs is not None:
+                    total = space.zero
+                    for a, g in zip(coeffs, sub.generators, strict=True):
+                        total = space.add(total, space.scalar_mul(a, g))
+                    assert total == v, (gens, v)
+
     def test_membership_validates(self):
         sub = spn.span_of(get_space(11, 1, (3, 7, 3)), [(2, 5, 6)])
         with pytest.raises(InvalidVectorError):

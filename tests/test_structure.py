@@ -10,6 +10,7 @@ import pytest
 
 from conftest import CORPUS, corpus_spaces, get_field, get_space
 from nearvec import near_field as nf
+from nearvec import space as space_mod
 from nearvec import span as spn
 from nearvec import structure as st
 from nearvec import verify
@@ -540,6 +541,24 @@ class TestEquivalences:
         else:
             conditions["2'"], witnesses["2'"] = False, None
         return st.EquivalenceReport(conditions, witnesses)
+
+    @pytest.mark.parametrize("key", [(11, 1, (1, 1, 1)), (11, 1, (3, 7, 3))], ids=str)
+    def test_builds_quasi_kernel_once_and_walks_the_orbits_once(self, key, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(space_mod, "quasi_kernel_closed_form")
+        counted(st, "_orbits")
+        st.regularity_equivalences(TwistedSpace(Field(key[0]), key[2]))
+        assert calls == {"quasi_kernel_closed_form": 1, "_orbits": 1}
 
     @pytest.mark.parametrize("key", CORPUS, ids=str)
     def test_one_pass_oracles_match_the_per_vector_scans(self, key):
